@@ -7,6 +7,7 @@ Usage::
                             [--jobs N] [--cache-dir DIR] [--no-cache]
                             [--cache-backend SPEC | --cache-url URL]
                             [--scheduler static|stealing] [--resume]
+                            [--metrics-out FILE]
     python -m repro.harness run --workload fft --cores 4 \\
         --trace --trace-out trace.json --metrics-out metrics.json
     python -m repro.harness run --workload fft,radix,lu --jobs 4 \\
@@ -34,7 +35,10 @@ sharded over ``--jobs`` workers) with the observability layer attached:
 ``--trace-out`` writes a Chrome trace-event JSON (open it in Perfetto /
 chrome://tracing, one track per core plus bus and TRAQ tracks) and
 ``--metrics-out`` a flat ``{name: value}`` metrics snapshot (single
-workload only).
+workload only).  For the experiments, ``--metrics-out`` writes the sweep's
+metrics instead, taken after the experiments ran: cache hits, shards run,
+and ``sweep.cache.logs_decoded``/``programs_attached`` — how many logs and
+programs the figures actually needed decoded.
 """
 
 from __future__ import annotations
@@ -96,7 +100,12 @@ def _litmus_matrix() -> dict:
 
 
 def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
-    """The parallel-runner / result-cache flags shared by both CLI forms."""
+    """The parallel-runner / result-cache / metrics flags shared by both
+    CLI forms."""
+    parser.add_argument("--metrics-out", default=None,
+                        help="write the flat metrics snapshot as JSON: the "
+                             "recording's for 'run', the sweep's "
+                             "(sweep.* counters) for the experiments")
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for the recording sweep "
                              "(default 1: serial)")
@@ -166,8 +175,6 @@ def _run_command(argv: list[str]) -> int:
     parser.add_argument("--trace-out", default=None,
                         help="write retained events as Chrome trace-event "
                              "JSON (implies --trace)")
-    parser.add_argument("--metrics-out", default=None,
-                        help="write the flat metrics snapshot as JSON")
     parser.add_argument("--verify-replay", action="store_true",
                         help="deterministically replay the recording with "
                              "checkpoints and verify it (single workload)")
@@ -379,6 +386,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(text)
+    if args.metrics_out:
+        snapshot = runner.sweep_metrics()
+        with open(args.metrics_out, "w") as handle:
+            json.dump({} if snapshot is None else snapshot.to_dict(), handle,
+                      indent=1, sort_keys=True)
     return 0
 
 

@@ -13,16 +13,23 @@ production path for those sweeps:
   :class:`~repro.harness.runner.RunKey`, the recorder variant configs
   and a code-version salt, computed with
   :func:`repro.common.hashing.stable_digest` so keys are identical across
-  interpreter runs, ``PYTHONHASHSEED`` values and dict orderings.
-  Publishes are atomic and first-writer-wins; corrupt entries are
-  quarantined with a warning (and a per-reason counter) and recomputed.
+  interpreter runs, ``PYTHONHASHSEED`` values and dict orderings.  The
+  salt includes a digest of the simulator, recorder and workload sources,
+  so edited code never reads results recorded by the old code.
+  Entries hold the program-free wire format; a hit is a lazy view that
+  decodes a log only when its entries are read and rebuilds the program
+  (checked against its digest) only when it is read.  Publishes are
+  atomic and first-writer-wins; corrupt entries are quarantined with a
+  warning (and a per-reason counter) and recomputed.
 
 * :class:`ParallelRunner` — shards outstanding runs across a
   ``concurrent.futures.ProcessPoolExecutor``.  Each worker executes
   :func:`repro.harness.runner.execute_run` (the exact code path the
   serial runner uses) and returns the result in the JSON wire format of
   :mod:`repro.sim.serialize`, plus a small counter export that the parent
-  folds into its :class:`~repro.obs.metrics.MetricsRegistry`.  Shards get
+  folds into its :class:`~repro.obs.metrics.MetricsRegistry`.  The parent
+  publishes the reply's wire dict to the cache as it is and keeps a lazy
+  view of it, so it never decodes and re-encodes a result.  Shards get
   a per-shard timeout and are retried once on failure; anything still
   failing raises :class:`SweepError` naming the shard.  With
   ``scheduler="stealing"`` the shards flow through the work-stealing
@@ -47,6 +54,7 @@ executes what is missing.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import sys
@@ -54,6 +62,7 @@ import time
 import uuid
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from ..common.config import RecorderConfig
@@ -64,27 +73,54 @@ from ..obs.metrics import MetricsRegistry, MetricsSnapshot
 from ..obs.telemetry import (TELEMETRY_FORMAT, FabricTelemetry,
                              SweepProgress, TelemetryAggregator,
                              TelemetryConfig)
-from ..sim.machine import RunResult
+from ..sim.machine import DecodeCounters, RunResult
 from ..sim.serialize import SERIALIZATION_VERSION
 from .cachestore import CacheStore, DirStore, LeaseInfo, parse_backend
-from .runner import VARIANTS, RunKey, execute_run
+from .runner import VARIANTS, RunKey, execute_run, workload_program
 from .stealing import FabricHooks, SweepError, WorkStealingPool
 
 _LOG = get_logger("harness.sweep")
 
 __all__ = ["CACHE_FORMAT", "DEFAULT_CACHE_DIR", "GENERATION", "SweepError",
-           "cache_key", "ResultCache", "ShardOutcome", "ShardPool",
-           "ParallelRunner"]
+           "cache_key", "code_salt", "sweep_result",
+           "ResultCache", "ShardOutcome", "ShardPool", "ParallelRunner"]
 
 #: Bumped when the cache envelope layout changes.
-CACHE_FORMAT = 1
+#: v2: entries hold the program-free wire format (serialization v3).
+CACHE_FORMAT = 2
 
 #: Where sweep results live unless a cache dir is given explicitly.
 DEFAULT_CACHE_DIR = ".repro_cache"
 
-#: Code-version salt folded into every cache key: results recorded under a
-#: different cache or wire format can never be mistaken for current ones.
-CODE_SALT = f"cache-v{CACHE_FORMAT}:wire-v{SERIALIZATION_VERSION}"
+#: The ``repro`` packages and modules whose code determines a recorded
+#: result: the simulator, workload generators, recorders and the wire
+#: format.
+RESULT_SOURCES = ("baselines", "common", "cpu", "isa", "mem", "recorder",
+                  "sim", "storage.py", "workloads")
+
+
+def code_salt(root: str | Path | None = None) -> str:
+    """The cache-key salt for the ``repro`` package at ``root`` (default:
+    this one): the format versions plus a digest of every ``.py`` file
+    under :data:`RESULT_SOURCES`."""
+    root = Path(__file__).resolve().parents[1] if root is None else Path(root)
+    digest = hashlib.sha256()
+    for name in RESULT_SOURCES:
+        path = root / name
+        for file in sorted(path.rglob("*.py")) if path.is_dir() else [path]:
+            digest.update(file.relative_to(root).as_posix().encode())
+            digest.update(b"\0")
+            digest.update(file.read_bytes())
+            digest.update(b"\0")
+    return (f"cache-v{CACHE_FORMAT}:wire-v{SERIALIZATION_VERSION}:"
+            f"src-{digest.hexdigest()[:16]}")
+
+
+#: Code-version salt folded into every cache key, computed once per
+#: process: results recorded under a different cache or wire format, or
+#: by different simulator, recorder or workload code, can never be
+#: mistaken for current ones.
+CODE_SALT = code_salt()
 
 #: Generation tag recorded next to every published entry so
 #: ``CacheStore.gc`` can drop whole stale code generations without
@@ -94,11 +130,22 @@ GENERATION = generation_tag(CODE_SALT)
 
 def cache_key(key: RunKey,
               variants: dict[str, RecorderConfig] | None = None,
-              *, salt: str = CODE_SALT) -> str:
-    """Content address of one shard: digest of run key + variants + salt."""
+              *, salt: str | None = None) -> str:
+    """Content address of one shard: digest of run key + variants + salt
+    (default :data:`CODE_SALT`)."""
     variants = VARIANTS if variants is None else variants
     return stable_digest({"key": key.to_dict(), "variants": variants,
-                          "salt": salt})
+                          "salt": CODE_SALT if salt is None else salt})
+
+
+def sweep_result(key: RunKey, wire: dict, origin: str,
+                 counters: DecodeCounters) -> RunResult:
+    """A lazy :class:`RunResult` over ``wire``, the program-free wire
+    format of ``key``: its logs are decoded and its program rebuilt from
+    ``key`` on first read, and counted in ``counters``."""
+    return RunResult.from_dict(
+        wire, program_source=partial(workload_program, key), origin=origin,
+        counters=counters)
 
 
 class ResultCache:
@@ -124,9 +171,13 @@ class ResultCache:
         self.writes = 0
         self.write_races = 0
         #: Quarantine counts by reason ("decode" | "format" |
-        #: "key_mismatch" | "schema") — telemetry can tell a truncated
-        #: file from a foreign-version envelope from a digest collision.
+        #: "key_mismatch" | "variants" | "program_digest" | "base64" |
+        #: "bit_length" | "schema") — telemetry can tell a truncated file
+        #: from a foreign-version envelope from a digest collision.
         self.corrupt_reasons: dict[str, int] = {}
+        #: Logs decoded and programs attached, over every result this
+        #: cache served or stored (results decode those lazily, on read).
+        self.decoded = DecodeCounters()
 
     @classmethod
     def from_spec(cls, spec: str) -> "ResultCache":
@@ -159,14 +210,16 @@ class ResultCache:
         quarantined in the store (the directory backend renames it to
         ``*.corrupt``) with a warning and a per-reason counter, and the
         shard is recomputed — a half-written or damaged cache never
-        poisons a sweep.
+        poisons a sweep.  The result decodes its logs and rebuilds its
+        program only when they are read (see :func:`sweep_result`).
         """
+        variants = VARIANTS if variants is None else variants
         address = cache_key(key, variants)
         data = self.store.get(address)
         if data is None:
             self.misses += 1
             return None
-        result = self._decode(address, key, data)
+        result = self._decode(address, key, variants, data)
         if result is not None:
             self.hits += 1
         return result
@@ -175,6 +228,7 @@ class ResultCache:
                  ) -> dict[RunKey, RunResult]:
         """Batched lookup of many keys (one round trip on the remote
         backend); corrupt entries quarantine exactly as in :meth:`get`."""
+        variants = VARIANTS if variants is None else variants
         addressed = {cache_key(key, variants): key for key in keys}
         found = self.store.get_many(list(addressed))
         out: dict[RunKey, RunResult] = {}
@@ -183,13 +237,14 @@ class ResultCache:
             if data is None:
                 self.misses += 1
                 continue
-            result = self._decode(address, key, data)
+            result = self._decode(address, key, variants, data)
             if result is not None:
                 self.hits += 1
                 out[key] = result
         return out
 
     def _decode(self, address: str, key: RunKey,
+                variants: dict[str, RecorderConfig],
                 data: bytes) -> RunResult | None:
         """Validate one envelope; quarantines (and counts why) on failure."""
         reason = "decode"
@@ -204,8 +259,17 @@ class ResultCache:
                 reason = "key_mismatch"
                 raise ValueError("cache entry key does not match request")
             reason = "schema"
-            return RunResult.from_dict(envelope["result"])
+            wire = envelope["result"]
+            if set(wire["recordings"]) != set(variants):
+                reason = "variants"
+                raise ValueError(
+                    f"cache entry records variants "
+                    f"{sorted(wire['recordings'])}, expected "
+                    f"{sorted(variants)}")
+            return sweep_result(key, wire, f"result-cache entry {address}",
+                                self.decoded)
         except Exception as exc:
+            reason = getattr(exc, "reason", reason)
             self.corrupt_reasons[reason] = (
                 self.corrupt_reasons.get(reason, 0) + 1)
             warnings.warn(
@@ -217,22 +281,26 @@ class ResultCache:
 
     # ------------------------------------------------------------ publishes
 
-    def put(self, key: RunKey, result: RunResult,
+    def put(self, key: RunKey, result: RunResult | dict,
             variants: dict[str, RecorderConfig] | None = None,
             *, meta: dict | None = None) -> Path:
         """Atomically persist ``result`` under ``key``'s content address.
 
-        First writer wins: if a cooperating sweep process published this
-        key concurrently, the loser's bytes are discarded (the entries
-        are content-addressed, so they describe the same run anyway) and
-        the race is counted in ``write_races``.
+        ``result`` is a :class:`RunResult` or its program-free wire dict
+        (``result.to_dict(include_program=False)``), which is stored as
+        it is.  First writer wins: if a cooperating sweep process
+        published this key concurrently, the loser's bytes are discarded
+        (the entries are content-addressed, so they describe the same run
+        anyway) and the race is counted in ``write_races``.
         """
+        if isinstance(result, RunResult):
+            result = result.to_dict(include_program=False)
         envelope = {
             "cache_format": CACHE_FORMAT,
             "salt": CODE_SALT,
             "key": key.to_dict(),
             "meta": meta or {},
-            "result": result.to_dict(),
+            "result": result,
         }
         created = self.store.put(cache_key(key, variants),
                                  json.dumps(envelope).encode(),
@@ -326,7 +394,7 @@ def _execute_shard(payload: dict) -> dict:
     reply = {
         "key": payload["key"],
         "attempt": payload["attempt"],
-        "result": result.to_dict(),
+        "result": result.to_dict(include_program=False),
         "wall_seconds": wall,
         "counters": {
             "instructions": result.total_instructions,
@@ -503,6 +571,8 @@ class ParallelRunner:
                 f"(expected 'static' or 'stealing')")
         self.jobs = max(1, jobs if jobs is not None else (os.cpu_count() or 1))
         self.cache = cache
+        #: Lazy decodes of this sweep's results (the cache's, if any).
+        self.decoded = cache.decoded if cache is not None else DecodeCounters()
         self.variants = VARIANTS if variants is None else dict(variants)
         self.timeout_s = timeout_s
         self.retries = max(0, retries)
@@ -563,6 +633,8 @@ class ParallelRunner:
             self._execute(pending, results)
         if self.cache is not None:
             self.registry.set_counters(self.cache.counters(),
+                                       prefix="sweep.cache")
+            self.registry.set_counters(self.decoded.counters(),
                                        prefix="sweep.cache")
         sweep.counter("executed").value = self.executed
         sweep.gauge("wall_seconds").set(time.perf_counter() - started)
@@ -659,7 +731,11 @@ class ParallelRunner:
                                    source="cache")
             self._progress_tracker.shard_done(key.describe(), "fabric")
             return
-        result = RunResult.from_dict(reply["result"])
+        # The wire dict is published as it is; the sweep folds a lazy view
+        # of it, so nothing is decoded here that no figure reads.
+        wire = reply["result"]
+        result = sweep_result(key, wire, f"sweep shard {key.describe()}",
+                              self.decoded)
         results[key] = result
         self.executed += 1
         attempts = reply.get("attempt", 0) + 1
@@ -670,11 +746,11 @@ class ParallelRunner:
         self.registry.scoped("sweep").counter("shards_run").inc()
         # A malformed telemetry payload is quarantined inside the
         # aggregator, never raised: one corrupt reply must not kill the
-        # sweep (the result itself already validated via from_dict).
+        # sweep (the result itself already validated in sweep_result).
         self.aggregator.ingest(key.label(), metrics=result.metrics,
                                payload=reply.get("telemetry"), source="run")
         if self.cache is not None:
-            self.cache.put(key, result, self.variants,
+            self.cache.put(key, wire, self.variants,
                            meta={"wall_seconds": wall,
                                  "worker": reply.get("worker", {})})
         self._progress_tracker.shard_done(key.describe(), "run", wall)

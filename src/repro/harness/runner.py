@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ..baselines import (
     CoreRacerRecorder,
@@ -39,11 +40,12 @@ from ..common.config import (
     RecorderConfig,
     RecorderMode,
 )
+from ..isa.program import Program
 from ..sim import Machine, RunResult
 from ..workloads import WORKLOAD_NAMES, build_workload
 
 __all__ = ["VARIANTS", "VARIANT_ORDER", "RunKey", "ExperimentRunner",
-           "default_scale", "execute_run"]
+           "default_scale", "execute_run", "workload_program"]
 
 #: The recorder variants every recorded execution carries.
 VARIANTS: dict[str, RecorderConfig] = {
@@ -142,6 +144,23 @@ class RunKey:
                 f"_s{self.scale:g}_r{self.seed}{suffix}")
 
 
+# Bounded: a scale-1.0 program is megabytes of objects, and the cells that
+# share one sit next to each other in the figure grids.
+@lru_cache(maxsize=4)
+def _build(workload: str, cores: int, scale: float, seed: int) -> Program:
+    return build_workload(workload, num_threads=cores, scale=scale, seed=seed)
+
+
+def workload_program(key: RunKey) -> Program:
+    """The program ``key`` runs, memoized per process.
+
+    The consistency model and baselines do not change the program, so the
+    cells of one (workload, cores, scale, seed) share one build; results
+    decoded from the sweep wire format rebuild their program through this.
+    """
+    return _build(key.workload, key.cores, key.scale, key.seed)
+
+
 def execute_run(key: RunKey,
                 variants: dict[str, RecorderConfig] | None = None,
                 *, tracer=None) -> RunResult:
@@ -156,8 +175,7 @@ def execute_run(key: RunKey,
     (sweep workers use it for telemetry trace capture).
     """
     variants = VARIANTS if variants is None else variants
-    program = build_workload(key.workload, num_threads=key.cores,
-                             scale=key.scale, seed=key.seed)
+    program = workload_program(key)
     config = MachineConfig(num_cores=key.cores, consistency=key.consistency,
                            seed=key.seed)
     machine = Machine(config, variants)
@@ -266,7 +284,15 @@ class ExperimentRunner:
         return runner.executed
 
     def sweep_metrics(self):
-        """Metrics snapshot of the last :meth:`prefetch` sweep (or None)."""
+        """Metrics snapshot of the last :meth:`prefetch` sweep (or None).
+
+        Results decode their logs and programs when read, so the cache's
+        ``sweep.cache.logs_decoded``/``programs_attached`` are taken now,
+        not when the sweep ended.
+        """
         if self._sweep_registry is None:
             return None
+        if self.cache is not None:
+            self._sweep_registry.set_counters(self.cache.decoded.counters(),
+                                              prefix="sweep.cache")
         return self._sweep_registry.snapshot()

@@ -13,11 +13,11 @@ steps everything every visited cycle.  Both produce identical results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from ..common.config import (CoherenceProtocol, MachineConfig,
                              RecorderConfig)
-from ..common.errors import ConfigError
+from ..common.errors import ConfigError, LogFormatError
 from ..common.stats import Histogram, OnlineStats
 from ..cpu.core import Core
 from ..cpu.dynops import DynInstr
@@ -26,23 +26,132 @@ from ..mem.coherence import SnoopEvent
 from ..mem.memsys import MemorySystem
 from ..obs.metrics import MetricsRegistry, MetricsSnapshot
 from ..obs.tracer import Tracer
-from ..recorder.logfmt import LogEntry
+from ..recorder.logfmt import LogEntry, decode_log, encode_log
 from ..recorder.mrr import RecorderStats, RelaxReplayRecorder
 from ..recorder.ordering import DependenceTracker
 from ..recorder.traq import TraqEntry, TrackingQueue
 from .kernel import KERNELS, OccupancySampler
 
-__all__ = ["CoreResult", "RecorderOutput", "RunResult", "Machine"]
+__all__ = ["CoreResult", "DecodeCounters", "DigestedProgram", "EncodedLog",
+           "Lazy", "RecorderOutput", "RunResult", "Machine"]
+
+
+class Lazy:
+    """A field value produced on first read: :meth:`load` runs once and
+    its result replaces the ``Lazy`` (see :class:`_LazyField`)."""
+
+    def load(self):
+        raise NotImplementedError
+
+
+class _LazyField:
+    """Dataclass field descriptor that accepts a :class:`Lazy` value.
+
+    Results decoded from the wire format (:mod:`repro.sim.serialize`)
+    hand such fields a loader instead of the value, so only what a
+    caller actually reads is ever decoded.
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.slot = f"_{name}"
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.slot)   # the field has no default
+        value = obj.__dict__[self.slot]
+        if isinstance(value, Lazy):
+            value = obj.__dict__[self.slot] = value.load()
+        return value
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__[self.slot] = value
+
+
+@dataclass
+class DecodeCounters:
+    """Tally of deferred decodes: logs decoded, programs attached."""
+
+    logs_decoded: int = 0
+    programs_attached: int = 0
+
+    def counters(self) -> dict[str, int]:
+        return asdict(self)
+
+
+class EncodedLog(Lazy):
+    """One core's log still in the recorder's bit format.
+
+    ``origin`` names where the bytes came from (a cache entry, a worker
+    reply), so a log whose bits turn out corrupt fails naming it.
+    """
+
+    def __init__(self, data: bytes, bit_length: int, config: RecorderConfig,
+                 origin: str, counters: DecodeCounters):
+        self.data = data
+        self.bit_length = bit_length
+        self.config = config
+        self.origin = origin
+        self.counters = counters
+
+    def load(self) -> list[LogEntry]:
+        try:
+            entries = decode_log(self.data, self.bit_length, self.config)
+        except (LogFormatError, EOFError, ValueError) as exc:
+            raise LogFormatError(f"{self.origin}: corrupt log: {exc}") from exc
+        self.counters.logs_decoded += 1
+        return entries
+
+
+class DigestedProgram(Lazy):
+    """A program known by its content digest until first read.
+
+    ``build`` makes the program (decodes an embedded copy, or rebuilds it
+    from the run's workload key); the result must match ``digest``, so a
+    result is never replayed against a program it was not recorded from.
+    """
+
+    def __init__(self, digest: str, build, origin: str,
+                 counters: DecodeCounters):
+        self.digest = digest
+        self.build = build
+        self.origin = origin
+        self.counters = counters
+
+    def load(self) -> Program:
+        from ..storage import program_digest
+
+        program = self.build()
+        actual = program_digest(program)
+        if actual != self.digest:
+            raise LogFormatError(
+                f"{self.origin}: program digest mismatch: the result was "
+                f"recorded from program {self.digest}, but "
+                f"{program.name!r} rebuilds as {actual}")
+        self.counters.programs_attached += 1
+        return program
 
 
 @dataclass
 class RecorderOutput:
-    """One recorder variant's log for one core."""
+    """One recorder variant's log for one core.
+
+    ``entries`` may be given as an :class:`EncodedLog`; it is then decoded
+    once, on first read.
+    """
 
     core_id: int
     config: RecorderConfig
-    entries: list[LogEntry]
+    entries: list[LogEntry] = _LazyField()
     stats: RecorderStats
+
+    def encoded(self) -> tuple[bytes, int]:
+        """The log in the recorder's bit format and its length in bits:
+        the bytes it came in as while ``entries`` is unread, else a fresh
+        encode."""
+        pending = self.__dict__["_entries"]
+        if isinstance(pending, EncodedLog):
+            return pending.data, pending.bit_length
+        return encode_log(self.entries, self.config)
 
 
 @dataclass
@@ -66,9 +175,13 @@ class CoreResult:
 
 @dataclass
 class RunResult:
-    """Everything a recording run produces."""
+    """Everything a recording run produces.
 
-    program: Program
+    ``program`` may be given as a :class:`Lazy` (results decoded from the
+    sweep wire format rebuild it on first read).
+    """
+
+    program: Program = _LazyField()
     config: MachineConfig
     cycles: int
     cores: list[CoreResult]
@@ -86,6 +199,14 @@ class RunResult:
     # End-of-run flat metrics snapshot (repro.obs), always populated by
     # Machine.run; None only for hand-built results in tests.
     metrics: MetricsSnapshot | None = None
+
+    def program_digest(self) -> str:
+        """Content digest of ``program``; an unread program is not built."""
+        pending = self.__dict__["_program"]
+        if isinstance(pending, DigestedProgram):
+            return pending.digest
+        from ..storage import program_digest
+        return program_digest(self.program)
 
     @property
     def total_instructions(self) -> int:
@@ -121,17 +242,19 @@ class RunResult:
         seconds = self.cycles / (self.config.core.clock_ghz * 1e9)
         return bits / 8 / 1e6 / seconds
 
-    def to_dict(self) -> dict:
-        """JSON-able form (see :mod:`repro.sim.serialize`); the wire format
-        sweep workers return results in and the result cache stores."""
+    def to_dict(self, *, include_program: bool = True) -> dict:
+        """JSON-able form (see :mod:`repro.sim.serialize`).  Without the
+        program it is the wire format sweep workers return results in and
+        the result cache stores."""
         from .serialize import run_result_to_dict
-        return run_result_to_dict(self)
+        return run_result_to_dict(self, include_program=include_program)
 
     @staticmethod
-    def from_dict(data: dict) -> "RunResult":
-        """Rebuild a result serialized with :meth:`to_dict`."""
+    def from_dict(data: dict, **kwargs) -> "RunResult":
+        """Rebuild a result serialized with :meth:`to_dict` (keywords as
+        :func:`~repro.sim.serialize.run_result_from_dict`)."""
         from .serialize import run_result_from_dict
-        return run_result_from_dict(data)
+        return run_result_from_dict(data, **kwargs)
 
 
 class _LoadTraceSink:

@@ -3,7 +3,7 @@
 The parallel experiment runner executes :meth:`Machine.run` in worker
 processes and persists every shard in an on-disk cache, so everything a
 :class:`~repro.sim.machine.RunResult` carries must survive a trip through
-plain JSON: program, machine config, per-core facts (including the
+plain JSON: machine config, per-core facts (including the
 streaming :class:`~repro.common.stats.OnlineStats` /
 :class:`~repro.common.stats.Histogram` accumulators), the bit-exact
 interval logs of every recorder variant (stored base64 via
@@ -12,7 +12,12 @@ hardware log size), recorder stats, dependence edges, baseline log
 summaries and the flat metrics snapshot.
 
 ``from_dict(to_dict(result))`` reconstructs an equal result: the figure
-code renders byte-identical tables from either object.  Live baseline
+code renders byte-identical tables from either object.  Decoding is lazy
+where it pays: each core's log stays in its encoded bytes until its
+``entries`` are read (most figures read only the recorder stats), and the
+program is built on first read.  The sweep wire format leaves the program
+out altogether — the run key determines it, so the sweep rebuilds it and
+checks it against the stored ``program_digest``.  Live baseline
 recorder *objects* do not cross the boundary — only the
 ``log_bits``/``instructions_counted`` counters the figures consume; they
 come back as lightweight :class:`BaselineSummary` stand-ins.
@@ -21,6 +26,7 @@ come back as lightweight :class:`BaselineSummary` stand-ins.
 from __future__ import annotations
 
 import base64
+import binascii
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -28,14 +34,14 @@ from ..common.config import MachineConfig, RecorderConfig
 from ..common.errors import LogFormatError
 from ..common.stats import Histogram, OnlineStats
 from ..obs.metrics import MetricsSnapshot
-from ..recorder.logfmt import decode_log, encode_log
 from ..recorder.mrr import RecorderStats
 from ..recorder.ordering import IntervalEdge
-from .machine import CoreResult, RecorderOutput, RunResult
+from .machine import (CoreResult, DecodeCounters, DigestedProgram,
+                      EncodedLog, RecorderOutput, RunResult)
 
 __all__ = [
     "SERIALIZATION_VERSION",
-    "BaselineSummary",
+    "BaselineSummary", "WireFormatError",
     "online_stats_to_dict", "online_stats_from_dict",
     "histogram_to_dict", "histogram_from_dict",
     "recorder_stats_to_dict", "recorder_stats_from_dict",
@@ -47,7 +53,18 @@ __all__ = [
 #: Bumped whenever the wire format changes; part of the cache key salt.
 #: v2: RecorderStats gained the fuzzer coverage counters
 #: (signature_set_bits, signature_alias_terminations, snoop_observed).
-SERIALIZATION_VERSION = 2
+#: v3: ``program`` became optional behind a mandatory ``program_digest``,
+#: and each variant's recorder config is stored once, not once per core.
+SERIALIZATION_VERSION = 3
+
+
+class WireFormatError(LogFormatError):
+    """A serialized run result is malformed; ``reason`` names the check
+    it failed (the result cache counts quarantines by it)."""
+
+    def __init__(self, reason: str, message: str):
+        super().__init__(message)
+        self.reason = reason
 
 
 @dataclass(frozen=True)
@@ -200,28 +217,48 @@ def _core_result_from_dict(data: dict) -> CoreResult:
     )
 
 
-def _recorder_output_to_dict(output: RecorderOutput) -> dict:
+def _recordings_to_dict(name: str, outputs: list[RecorderOutput]) -> dict:
     from ..storage import config_to_dict
 
-    data, bits = encode_log(output.entries, output.config)
-    return {
-        "core_id": output.core_id,
-        "config": config_to_dict(output.config),
-        "log": base64.b64encode(data).decode("ascii"),
-        "bit_length": bits,
-        "stats": recorder_stats_to_dict(output.stats),
-    }
+    config = outputs[0].config
+    if any(output.config != config for output in outputs):
+        raise ValueError(f"recorder variant {name!r}: per-core outputs "
+                         f"disagree on their recorder config")
+    cores = []
+    for output in outputs:
+        data, bits = output.encoded()
+        cores.append({
+            "core_id": output.core_id,
+            "log": base64.b64encode(data).decode("ascii"),
+            "bit_length": bits,
+            "stats": recorder_stats_to_dict(output.stats),
+        })
+    return {"config": config_to_dict(config), "cores": cores}
 
 
-def _recorder_output_from_dict(data: dict) -> RecorderOutput:
+def _recordings_from_dict(name: str, data: dict, origin: str,
+                          counters: DecodeCounters) -> list[RecorderOutput]:
     from ..storage import config_from_dict
 
     config = config_from_dict(RecorderConfig, data["config"])
-    entries = decode_log(base64.b64decode(data["log"]), data["bit_length"],
-                         config)
-    return RecorderOutput(
-        core_id=data["core_id"], config=config, entries=entries,
-        stats=recorder_stats_from_dict(data["stats"]))
+    outputs = []
+    for core in data["cores"]:
+        where = f"{origin}, variant {name}, core {core['core_id']}"
+        try:
+            log = base64.b64decode(core["log"], validate=True)
+        except binascii.Error as exc:
+            raise WireFormatError(
+                "base64", f"{where}: log is not valid base64 ({exc})") from exc
+        bits = core["bit_length"]
+        if not 0 <= bits <= 8 * len(log):
+            raise WireFormatError(
+                "bit_length", f"{where}: bit_length {bits} does not fit "
+                f"the {len(log)}-byte log")
+        outputs.append(RecorderOutput(
+            core_id=core["core_id"], config=config,
+            entries=EncodedLog(log, bits, config, where, counters),
+            stats=recorder_stats_from_dict(core["stats"])))
+    return outputs
 
 
 def _baseline_to_dict(recorder) -> dict:
@@ -241,18 +278,24 @@ def _baseline_from_dict(data: dict):
     return summary
 
 
-def run_result_to_dict(result: RunResult) -> dict:
-    """Render a run result as one JSON-able dict (the worker wire format)."""
+def run_result_to_dict(result: RunResult, *,
+                       include_program: bool = True) -> dict:
+    """Render a run result as one JSON-able dict.
+
+    Without the program (``include_program=False``) this is the sweep
+    wire format: the run key already determines the program, and
+    ``program_digest`` pins it.  Standalone result files keep it.
+    """
     from ..storage import config_to_dict, program_to_dict
 
-    return {
+    out = {
         "serialization_version": SERIALIZATION_VERSION,
-        "program": program_to_dict(result.program),
+        "program_digest": result.program_digest(),
         "config": config_to_dict(result.config),
         "cycles": result.cycles,
         "cores": [_core_result_to_dict(core) for core in result.cores],
         "recordings": {
-            name: [_recorder_output_to_dict(output) for output in outputs]
+            name: _recordings_to_dict(name, outputs)
             for name, outputs in result.recordings.items()},
         "final_memory": {str(addr): value
                          for addr, value in result.final_memory.items()},
@@ -269,10 +312,24 @@ def run_result_to_dict(result: RunResult) -> dict:
             for name, edges in result.dependence_edges.items()},
         "metrics": metrics_snapshot_to_dict(result.metrics),
     }
+    if include_program:
+        out["program"] = program_to_dict(result.program)
+    return out
 
 
-def run_result_from_dict(data: dict) -> RunResult:
-    """Rebuild a :class:`RunResult` written by :func:`run_result_to_dict`."""
+def run_result_from_dict(data: dict, *, program_source=None,
+                         origin: str = "run result",
+                         counters: DecodeCounters | None = None
+                         ) -> RunResult:
+    """Rebuild a :class:`RunResult` written by :func:`run_result_to_dict`.
+
+    Only the cheap parts are decoded here.  Each core's log stays encoded
+    until its ``entries`` are read, and the program is built on first read
+    of ``program``: decoded from the dict when it carries one, else made
+    by ``program_source()`` (the sweep rebuilds it from the run key).
+    Either way it is checked against ``program_digest``.  ``origin``
+    names the data in errors; ``counters`` tallies the deferred decodes.
+    """
     from ..storage import config_from_dict, program_from_dict
 
     version = data.get("serialization_version")
@@ -280,14 +337,26 @@ def run_result_from_dict(data: dict) -> RunResult:
         raise LogFormatError(
             f"unsupported run-result serialization version {version!r} "
             f"(this build reads {SERIALIZATION_VERSION})")
+    digest = data.get("program_digest")
+    if not isinstance(digest, str):
+        raise WireFormatError("program_digest",
+                              f"{origin}: no program_digest")
+    if "program" in data:
+        embedded = data["program"]
+        program_source = lambda: program_from_dict(embedded)  # noqa: E731
+    elif program_source is None:
+        raise LogFormatError(
+            f"{origin}: carries no program and no program source was given "
+            f"(sweep results rebuild theirs from the run key)")
+    counters = DecodeCounters() if counters is None else counters
     load_trace = data["load_trace"]
     return RunResult(
-        program=program_from_dict(data["program"]),
+        program=DigestedProgram(digest, program_source, origin, counters),
         config=config_from_dict(MachineConfig, data["config"]),
         cycles=data["cycles"],
         cores=[_core_result_from_dict(core) for core in data["cores"]],
         recordings={
-            name: [_recorder_output_from_dict(output) for output in outputs]
+            name: _recordings_from_dict(name, outputs, origin, counters)
             for name, outputs in data["recordings"].items()},
         final_memory={int(addr): value
                       for addr, value in data["final_memory"].items()},

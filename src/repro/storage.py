@@ -22,6 +22,7 @@ checked bit-exactly against the original execution even in a fresh process.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -41,7 +42,7 @@ from .common.config import (
 from .common.errors import LogFormatError
 from .isa.instructions import AluOp, Instruction, Opcode, RmwOp
 from .isa.program import Program, ThreadProgram
-from .recorder.logfmt import decode_log, encode_log
+from .recorder.logfmt import decode_log
 from .recorder.ordering import IntervalEdge
 from .replay.costmodel import estimate_replay_time
 from .replay.replayer import ReplayResult, Replayer, _verify_memory
@@ -50,7 +51,7 @@ from .sim.machine import RunResult
 __all__ = ["save_program", "load_program", "save_recording",
            "load_recording", "StoredRecording", "FORMAT_VERSION",
            "config_to_dict", "config_from_dict",
-           "program_to_dict", "program_from_dict"]
+           "program_to_dict", "program_from_dict", "program_digest"]
 
 FORMAT_VERSION = 1
 
@@ -131,6 +132,13 @@ def program_from_dict(data: dict) -> Program:
     ).validate()
 
 
+def program_digest(program: Program) -> str:
+    """Content digest of a program: SHA-256 of its sorted-key JSON form."""
+    text = json.dumps(program_to_dict(program), sort_keys=True,
+                      separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:32]
+
+
 def save_program(program: Program, path: str | Path) -> Path:
     """Write a program to ``path`` as JSON (see ``program_to_dict``)."""
     path = Path(path)
@@ -204,7 +212,7 @@ def save_recording(result: RunResult, path: str | Path) -> Path:
         variant_dir.mkdir(parents=True, exist_ok=True)
         cores = []
         for output in outputs:
-            data, bits = encode_log(output.entries, output.config)
+            data, bits = output.encoded()
             log_path = variant_dir / f"core{output.core_id}.bin"
             log_path.write_bytes(data)
             cores.append({"core_id": output.core_id, "bit_length": bits})

@@ -376,10 +376,12 @@ def cmd_sweep(args) -> int:
         import json
 
         from .sim.serialize import run_result_to_dict
-        # Fully deterministic artifact: serialized results keyed by shard
-        # label, no wall times or counters — byte-identical no matter the
-        # scheduler, backend, job width or cache temperature.
-        payload = {key.label(): run_result_to_dict(results[key])
+        # Fully deterministic artifact: serialized results (the sweep wire
+        # format, programs pinned by digest) keyed by shard label, no wall
+        # times or counters — byte-identical no matter the scheduler,
+        # backend, job width or cache temperature.
+        payload = {key.label(): run_result_to_dict(results[key],
+                                                   include_program=False)
                    for key in sorted(keys, key=RunKey.label)}
         with open(args.results_out, "w") as handle:
             json.dump(payload, handle, sort_keys=True,

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.common.config import ConsistencyModel
 from repro.common.hashing import canonical_json, stable_digest
 from repro.common.stats import Histogram, OnlineStats
-from repro.harness.runner import RunKey, execute_run
+from repro.harness.runner import RunKey, execute_run, workload_program
 from repro.obs.metrics import MetricsSnapshot
 from repro.recorder.mrr import RecorderStats
 from repro.replay import replay_recording
@@ -135,7 +135,9 @@ def test_digest_ignores_dict_insertion_order(mapping):
 # ------------------------------------------------------ full result object
 
 def test_full_run_result_roundtrip_is_byte_stable():
-    """to_dict -> JSON -> from_dict -> to_dict is a fixed point.
+    """to_dict -> JSON -> from_dict -> to_dict is a fixed point, for the
+    standalone form (program embedded) and the sweep wire form (program
+    left out, rebuilt by the reader and pinned by ``program_digest``).
 
     The run carries everything the wire format must preserve: all six
     recorder variants, per-core stats accumulators, and — because it runs
@@ -144,9 +146,28 @@ def test_full_run_result_roundtrip_is_byte_stable():
     """
     key = RunKey("fft", 2, 0.05, 1, ConsistencyModel.SC, True)
     result = execute_run(key)
-    wire = json.dumps(result.to_dict(), sort_keys=True)
+    data = result.to_dict()
+    # Each variant's recorder config is stored once, beside its per-core
+    # logs, which carry none.
+    for name, recording in data["recordings"].items():
+        assert set(recording) == {"config", "cores"}
+        assert len(recording["cores"]) == key.cores
+        for core in recording["cores"]:
+            assert set(core) == {"core_id", "log", "bit_length", "stats"}
+    free = result.to_dict(include_program=False)
+    assert set(data) - set(free) == {"program"}
+    assert free["program_digest"] == data["program_digest"]
+
+    wire = json.dumps(data, sort_keys=True)
     clone = RunResult.from_dict(json.loads(wire))
     assert json.dumps(clone.to_dict(), sort_keys=True) == wire
+    free_wire = json.dumps(free, sort_keys=True)
+    rebuilt = RunResult.from_dict(
+        json.loads(free_wire),
+        program_source=lambda: workload_program(key))
+    assert json.dumps(rebuilt.to_dict(include_program=False),
+                      sort_keys=True) == free_wire
+    assert json.dumps(rebuilt.to_dict(), sort_keys=True) == wire
     assert clone.final_memory == result.final_memory
     assert clone.total_instructions == result.total_instructions
     # Figure-facing accessors agree on both sides of the boundary.
@@ -170,4 +191,14 @@ def test_version_mismatch_is_rejected():
     data = execute_run(key).to_dict()
     data["serialization_version"] = 999
     with pytest.raises(LogFormatError, match="serialization version"):
+        RunResult.from_dict(data)
+
+
+def test_program_free_result_needs_a_program_source():
+    import pytest
+
+    from repro.common.errors import LogFormatError
+    key = RunKey("fft", 2, 0.05, 1, ConsistencyModel.RC, False)
+    data = execute_run(key).to_dict(include_program=False)
+    with pytest.raises(LogFormatError, match="no program source"):
         RunResult.from_dict(data)
