@@ -4,9 +4,9 @@ Usage::
 
     python -m repro.harness [--scale S] [--seed N] [--cores N]
                             [--experiments fig1,fig9,...] [--out FILE]
-                            [--jobs N] [--cache-dir DIR] [--no-cache]
-                            [--cache-backend SPEC | --cache-url URL]
-                            [--scheduler static|stealing] [--resume]
+                            [--jobs N] [--cache-dir DIR]
+                            [--no-cache | --resume]
+                            [--scheduler static|stealing]
                             [--metrics-out FILE]
     python -m repro.harness run --workload fft --cores 4 \\
         --trace --trace-out trace.json --metrics-out metrics.json
@@ -20,18 +20,16 @@ recordings the experiments need are prefetched as a sharded sweep:
 lands in a persistent result cache (``--cache-dir``, default
 ``.repro_cache/``) as it completes, so a warm rerun — or a rerun after an
 interruption (``--resume``) — skips everything already recorded.
-``--cache-backend`` swaps the cache storage (``dir:PATH``,
-``sqlite:PATH``, or ``http://HOST:PORT`` for a shared cache daemon;
-``--cache-url`` is shorthand for the latter), and ``--scheduler
-stealing`` replaces the static shard split with the work-stealing
-engine whose in-flight leases dedupe cells across cooperating sweep
-processes.  ``--no-cache`` disables the cache entirely.  Operational
-output (sweep
-progress, shard completions, experiment timings) goes through the
-structured ``repro`` logger — tune it with ``--log-level``.
+``--scheduler stealing`` replaces the static shard split with the
+work-stealing engine whose in-flight leases dedupe cells across sweep
+processes sharing one ``--cache-dir``.  ``--no-cache`` disables the
+cache entirely.  Operational output (sweep progress, shard completions,
+experiment timings) goes through the structured ``repro`` logger — tune
+it with ``--log-level``.
 
 The ``run`` subcommand records one workload (or a comma-separated list,
-sharded over ``--jobs`` workers) with the observability layer attached:
+sharded over ``--jobs`` workers and cached exactly like the
+experiments) with the observability layer attached:
 ``--trace-out`` writes a Chrome trace-event JSON (open it in Perfetto /
 chrome://tracing, one track per core plus bus and TRAQ tracks) and
 ``--metrics-out`` a flat ``{name: value}`` metrics snapshot (single
@@ -53,6 +51,7 @@ from repro.obs.logging import (add_log_level_argument, get_logger, log_kv,
                                setup_logging)
 
 from . import figures
+from .parallel_runner import add_sweep_flags, cache_from_args
 from .report import render_all, render_sweep_summary
 from .runner import ExperimentRunner
 
@@ -99,58 +98,6 @@ def _litmus_matrix() -> dict:
     return out
 
 
-def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
-    """The parallel-runner / result-cache / metrics flags shared by both
-    CLI forms."""
-    parser.add_argument("--metrics-out", default=None,
-                        help="write the flat metrics snapshot as JSON: the "
-                             "recording's for 'run', the sweep's "
-                             "(sweep.* counters) for the experiments")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for the recording sweep "
-                             "(default 1: serial)")
-    parser.add_argument("--cache-dir", default=None,
-                        help="persistent result cache directory "
-                             "(default .repro_cache)")
-    parser.add_argument("--cache-backend", default=None, metavar="SPEC",
-                        help="pluggable cache backend: dir:PATH, "
-                             "sqlite:PATH, or http://HOST:PORT (a running "
-                             "'repro.tools cache-serve' daemon); overrides "
-                             "--cache-dir")
-    parser.add_argument("--cache-url", default=None, metavar="URL",
-                        help="shorthand for --cache-backend http://... "
-                             "(remote cache daemon URL)")
-    parser.add_argument("--scheduler", default="static",
-                        choices=("static", "stealing"),
-                        help="shard scheduler: 'static' (classic pool) or "
-                             "'stealing' (work-stealing deque + in-flight "
-                             "leases deduping cells across cooperating "
-                             "sweep processes)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="do not read or write the result cache")
-    parser.add_argument("--resume", action="store_true",
-                        help="resume an interrupted sweep from the cached "
-                             "shards (cache reads are on by default; this "
-                             "makes the intent explicit and rejects "
-                             "--no-cache)")
-
-
-def _check_sweep_flags(parser: argparse.ArgumentParser, args) -> None:
-    if args.resume and args.no_cache:
-        parser.error("--resume needs the result cache; "
-                     "drop --no-cache")
-    if args.cache_backend and args.cache_url:
-        parser.error("--cache-backend and --cache-url are two spellings of "
-                     "the same thing; give one")
-    if args.no_cache and (args.cache_backend or args.cache_url):
-        parser.error("--no-cache contradicts --cache-backend/--cache-url")
-
-
-def _sweep_cache_spec(args) -> str | None:
-    """The effective backend spec from --cache-backend/--cache-url."""
-    return args.cache_backend or args.cache_url
-
-
 def _run_command(argv: list[str]) -> int:
     """``run`` subcommand: traced/metered recordings of named workloads."""
     from repro.common.config import (ConsistencyModel, MachineConfig)
@@ -195,10 +142,9 @@ def _run_command(argv: list[str]) -> int:
                         help="write the full serialized RunResult as JSON "
                              "(the repro.tools inspect input; single "
                              "workload)")
-    _add_sweep_flags(parser)
+    add_sweep_flags(parser)
     add_log_level_argument(parser)
     args = parser.parse_args(argv)
-    _check_sweep_flags(parser, args)
     setup_logging(args.log_level)
     if args.forensics_out or args.inject_fault:
         args.verify_replay = True
@@ -219,21 +165,10 @@ def _run_command(argv: list[str]) -> int:
             parser.error("--trace/--trace-out/--metrics-out/--verify-replay/"
                          "--forensics-out/--result-out need a single "
                          "--workload")
-        from .cachestore import CacheBackendError
-        from .parallel_runner import DEFAULT_CACHE_DIR, ParallelRunner, \
-            ResultCache
+        from .parallel_runner import ParallelRunner
         from .runner import RunKey
-        cache = None
-        spec = _sweep_cache_spec(args)
-        if not args.no_cache and (spec or args.cache_dir or args.resume):
-            try:
-                cache = (ResultCache.from_spec(spec) if spec
-                         else ResultCache(args.cache_dir
-                                          or DEFAULT_CACHE_DIR))
-            except CacheBackendError as exc:
-                parser.error(str(exc))    # usage error: exit code 2
         runner = ParallelRunner(
-            jobs=args.jobs, cache=cache,
+            jobs=args.jobs, cache=cache_from_args(args),
             variants={"default": config.recorder},
             scheduler=args.scheduler)
         keys = [RunKey(name, args.cores, args.scale, args.seed, consistency,
@@ -342,10 +277,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="comma-separated subset of: "
                              + ",".join(_EXPERIMENTS))
     parser.add_argument("--out", default=None, help="also write to this file")
-    _add_sweep_flags(parser)
+    add_sweep_flags(parser)
     add_log_level_argument(parser)
     args = parser.parse_args(argv)
-    _check_sweep_flags(parser, args)
     setup_logging(args.log_level)
 
     names = (list(_EXPERIMENTS) if args.experiments == "all"
@@ -354,15 +288,9 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         parser.error(f"unknown experiments: {', '.join(unknown)}")
 
-    from .cachestore import CacheBackendError
-    try:
-        runner = ExperimentRunner(
-            seed=args.seed, scale=args.scale, jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            cache_backend=_sweep_cache_spec(args),
-            use_cache=not args.no_cache, scheduler=args.scheduler)
-    except CacheBackendError as exc:
-        parser.error(str(exc))    # usage error: exit code 2
+    runner = ExperimentRunner(seed=args.seed, scale=args.scale,
+                              jobs=args.jobs, cache=cache_from_args(args),
+                              scheduler=args.scheduler)
     keys = figures.required_runs(names, runner, cores=args.cores)
     if keys:
         started = time.time()

@@ -1,66 +1,40 @@
-"""Pluggable blob stores behind the sweep result cache.
+"""The blob stores behind the sweep result cache.
 
-The PR 2 result cache was a process-local directory of JSON files.  This
-module generalizes its storage into a small :class:`CacheStore` protocol
-so many worker machines can cooperatively fill *one* cache:
+:class:`~repro.harness.parallel_runner.ResultCache` owns the envelope
+format; its storage is a small :class:`CacheStore` protocol with two
+implementations:
 
-* :class:`DirStore` — the original content-addressed directory layout
-  (``<digest>.json`` files, atomic ``os.replace`` writes).  Fully
-  backward compatible: a pre-existing ``.repro_cache/`` keeps working.
-* :class:`SQLiteStore` — one SQLite database in WAL mode, so concurrent
-  readers (other sweep processes on the same machine) never block behind
-  a writer.
-* :class:`MemoryStore` — in-process dict store (tests, and the default
-  backing of a throwaway cache daemon).
-* :class:`RemoteStore` — HTTP client for the cache daemon in
-  :mod:`repro.harness.cached`: persistent connections, gzip bodies and a
-  batched multi-key lookup endpoint.
+* :class:`DirStore` — the content-addressed directory layout
+  (``<digest>.json`` files, hard-link first-writer-wins publishes).  A
+  pre-existing ``.repro_cache/`` keeps working.
+* :class:`MemoryStore` — an in-process dict store: the test double, and
+  the lease domain of ``repro.tools sweep-bench``.
 
 Every store keys blobs by the SHA-256 content addresses of
-:func:`repro.harness.parallel_runner.cache_key` and records a
-*generation* tag (:func:`repro.common.hashing.generation_tag` of the
-code-version salt) next to each entry, so :meth:`CacheStore.gc` can drop
-whole stale generations.
+:func:`repro.harness.parallel_runner.cache_key`.  The code-version salt is
+folded into each address, so entries recorded by other code are never
+served; they are just never read again.
 
 Stores also implement time-limited **in-flight leases** — the dedupe
-primitive of the work-stealing sweep fabric (:mod:`.stealing`).  A lease
-says "some worker is currently computing this key": cooperating
-processes defer leased cells instead of re-running them, steal the lease
-when it expires, and publish results with first-writer-wins semantics
-(:meth:`CacheStore.put` returns ``False`` to the loser).  Leases are
-purely an optimization; correctness never depends on them.
+primitive of the work-stealing scheduler (:mod:`.stealing`).  A lease
+says "some worker is currently computing this key": sweep processes
+sharing one cache directory defer leased cells instead of re-running
+them, steal the lease when it expires, and publish results with
+first-writer-wins semantics (:meth:`CacheStore.put` returns ``False`` to
+the loser).  Leases are purely an optimization; correctness never
+depends on them.
 """
 
 from __future__ import annotations
 
-import base64
-import gzip
 import json
 import os
-import sqlite3
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from urllib.parse import urlsplit
 
-from ..common.errors import ConfigError
-
-__all__ = ["CacheBackendError", "LeaseInfo", "CacheStore", "DirStore",
-           "SQLiteStore", "MemoryStore", "RemoteStore", "parse_backend",
-           "BACKEND_SCHEMES"]
-
-#: Spec shapes ``parse_backend`` understands (documented in --help texts).
-BACKEND_SCHEMES = ("dir:PATH (or a bare path)", "sqlite:PATH (or *.sqlite)",
-                   "http://HOST:PORT (cache daemon)")
-
-
-class CacheBackendError(ConfigError):
-    """A cache backend spec is malformed or the backend cannot start.
-
-    Subclasses :class:`~repro.common.errors.ConfigError` so the CLIs map
-    it to the usage exit code (2), matching the PR 5 exit-code audit.
-    """
+__all__ = ["LeaseInfo", "CacheStore", "DirStore", "MemoryStore"]
 
 
 @dataclass(frozen=True)
@@ -78,20 +52,9 @@ class LeaseInfo:
     deadline: float
     stolen: bool = False
 
-    def to_dict(self) -> dict:
-        return {"acquired": self.acquired, "owner": self.owner,
-                "deadline": self.deadline, "stolen": self.stolen}
-
-    @staticmethod
-    def from_dict(data: dict) -> "LeaseInfo":
-        return LeaseInfo(acquired=bool(data["acquired"]),
-                         owner=str(data["owner"]),
-                         deadline=float(data["deadline"]),
-                         stolen=bool(data.get("stolen", False)))
-
 
 class CacheStore:
-    """Abstract keyed blob store with leases and generation GC.
+    """Abstract keyed blob store with in-flight leases.
 
     Keys are content-address strings (hex digests); values are opaque
     ``bytes``.  Implementations must make :meth:`put` atomic and
@@ -99,25 +62,12 @@ class CacheStore:
     interleave bytes, and exactly one of them gets ``True`` back.
     """
 
-    #: Short scheme name ("dir" | "sqlite" | "memory" | "http").
-    name = "abstract"
-
     # ------------------------------------------------------------- blobs
 
     def get(self, key: str) -> bytes | None:
         raise NotImplementedError
 
-    def get_many(self, keys: list[str]) -> dict[str, bytes]:
-        """Batched lookup; default is a get() loop (remote stores do
-        better with one round trip)."""
-        out = {}
-        for key in keys:
-            data = self.get(key)
-            if data is not None:
-                out[key] = data
-        return out
-
-    def put(self, key: str, data: bytes, *, generation: str = "") -> bool:
+    def put(self, key: str, data: bytes) -> bool:
         """Store ``data`` unless ``key`` already exists (first writer
         wins); returns True iff this call created the entry."""
         raise NotImplementedError
@@ -136,11 +86,6 @@ class CacheStore:
     def __len__(self) -> int:
         return len(self.keys())
 
-    def gc(self, keep_generation: str) -> int:
-        """Drop every entry recorded under a different generation tag;
-        returns how many were removed."""
-        raise NotImplementedError
-
     # ------------------------------------------------------------- leases
 
     def acquire_lease(self, key: str, owner: str,
@@ -150,9 +95,6 @@ class CacheStore:
     def release_lease(self, key: str, owner: str) -> None:
         raise NotImplementedError
 
-    def close(self) -> None:
-        """Release connections/handles (optional)."""
-
 
 # ---------------------------------------------------------------- directory
 
@@ -161,14 +103,10 @@ class DirStore(CacheStore):
 
     Blobs live at ``<root>/<key>.json`` (the suffix is historical — the
     sweep cache always stored JSON envelopes and existing caches must
-    remain readable).  Generation tags live in a ``<key>.gen`` sidecar;
-    entries written by older code have no sidecar and are treated as a
-    foreign generation by :meth:`gc`.  Leases are ``<key>.lease`` files
-    created with ``O_CREAT | O_EXCL`` so acquisition is atomic even
-    across machines sharing a network filesystem.
+    remain readable).  Leases are ``<key>.lease`` files created with
+    ``O_CREAT | O_EXCL``, so acquisition is atomic across processes.
     """
 
-    name = "dir"
     _SUFFIX = ".json"
 
     def __init__(self, root: str | Path, *, clock=time.time):
@@ -184,13 +122,11 @@ class DirStore(CacheStore):
         except OSError:
             return None
 
-    def put(self, key: str, data: bytes, *, generation: str = "") -> bool:
+    def put(self, key: str, data: bytes) -> bool:
         path = self._path(key)
         self.root.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
         tmp.write_bytes(data)
-        if generation:
-            path.with_suffix(".gen").write_text(generation)
         try:
             # Hard-link publish: succeeds for exactly one of any set of
             # concurrent writers (atomic first-writer-wins), unlike an
@@ -226,23 +162,6 @@ class DirStore(CacheStore):
         if not self.root.exists():
             return []
         return sorted(path.stem for path in self.root.glob(f"*{self._SUFFIX}"))
-
-    def gc(self, keep_generation: str) -> int:
-        removed = 0
-        for key in self.keys():
-            sidecar = self._path(key).with_suffix(".gen")
-            try:
-                generation = sidecar.read_text().strip()
-            except OSError:
-                generation = ""
-            if generation != keep_generation:
-                if self.delete(key):
-                    removed += 1
-                try:
-                    sidecar.unlink()
-                except OSError:
-                    pass
-        return removed
 
     # ------------------------------------------------------------- leases
 
@@ -287,142 +206,26 @@ class DirStore(CacheStore):
             pass
 
 
-# ------------------------------------------------------------------ sqlite
-
-class SQLiteStore(CacheStore):
-    """One SQLite database in WAL mode (concurrent readers never block).
-
-    Entries and leases are rows; first-writer-wins is ``INSERT OR
-    IGNORE`` and lease acquisition runs inside ``BEGIN IMMEDIATE`` so two
-    processes racing for the same key serialize at the database.
-    """
-
-    name = "sqlite"
-
-    def __init__(self, path: str | Path, *, clock=time.time,
-                 timeout_s: float = 30.0):
-        self.path = Path(path)
-        self._clock = clock
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
-        self._db = sqlite3.connect(self.path, timeout=timeout_s,
-                                   check_same_thread=False)
-        with self._lock:
-            self._db.execute("PRAGMA journal_mode=WAL")
-            self._db.execute("PRAGMA synchronous=NORMAL")
-            self._db.execute(
-                "CREATE TABLE IF NOT EXISTS entries ("
-                "  key TEXT PRIMARY KEY,"
-                "  generation TEXT NOT NULL DEFAULT '',"
-                "  data BLOB NOT NULL)")
-            self._db.execute(
-                "CREATE TABLE IF NOT EXISTS leases ("
-                "  key TEXT PRIMARY KEY,"
-                "  owner TEXT NOT NULL,"
-                "  deadline REAL NOT NULL)")
-            self._db.commit()
-
-    def get(self, key: str) -> bytes | None:
-        with self._lock:
-            row = self._db.execute(
-                "SELECT data FROM entries WHERE key = ?", (key,)).fetchone()
-        return None if row is None else bytes(row[0])
-
-    def get_many(self, keys: list[str]) -> dict[str, bytes]:
-        if not keys:
-            return {}
-        marks = ",".join("?" * len(keys))
-        with self._lock:
-            rows = self._db.execute(
-                f"SELECT key, data FROM entries WHERE key IN ({marks})",
-                list(keys)).fetchall()
-        return {row[0]: bytes(row[1]) for row in rows}
-
-    def put(self, key: str, data: bytes, *, generation: str = "") -> bool:
-        with self._lock:
-            cursor = self._db.execute(
-                "INSERT OR IGNORE INTO entries (key, generation, data) "
-                "VALUES (?, ?, ?)", (key, generation, data))
-            self._db.commit()
-        return cursor.rowcount > 0
-
-    def delete(self, key: str) -> bool:
-        with self._lock:
-            cursor = self._db.execute(
-                "DELETE FROM entries WHERE key = ?", (key,))
-            self._db.commit()
-        return cursor.rowcount > 0
-
-    def keys(self) -> list[str]:
-        with self._lock:
-            rows = self._db.execute(
-                "SELECT key FROM entries ORDER BY key").fetchall()
-        return [row[0] for row in rows]
-
-    def gc(self, keep_generation: str) -> int:
-        with self._lock:
-            cursor = self._db.execute(
-                "DELETE FROM entries WHERE generation != ?",
-                (keep_generation,))
-            self._db.execute("DELETE FROM leases WHERE deadline < ?",
-                             (self._clock(),))
-            self._db.commit()
-        return cursor.rowcount
-
-    def acquire_lease(self, key: str, owner: str,
-                      ttl_s: float) -> LeaseInfo:
-        now = self._clock()
-        with self._lock:
-            self._db.execute("BEGIN IMMEDIATE")
-            row = self._db.execute(
-                "SELECT owner, deadline FROM leases WHERE key = ?",
-                (key,)).fetchone()
-            if row is not None and row[1] > now and row[0] != owner:
-                self._db.commit()
-                return LeaseInfo(False, row[0], row[1])
-            self._db.execute(
-                "INSERT INTO leases (key, owner, deadline) VALUES (?, ?, ?) "
-                "ON CONFLICT(key) DO UPDATE SET owner = excluded.owner, "
-                "deadline = excluded.deadline", (key, owner, now + ttl_s))
-            self._db.commit()
-        stolen = row is not None and row[0] != owner
-        return LeaseInfo(True, owner, now + ttl_s, stolen=stolen)
-
-    def release_lease(self, key: str, owner: str) -> None:
-        with self._lock:
-            self._db.execute(
-                "DELETE FROM leases WHERE key = ? AND owner = ?",
-                (key, owner))
-            self._db.commit()
-
-    def close(self) -> None:
-        with self._lock:
-            self._db.close()
-
-
 # ------------------------------------------------------------------ memory
 
 class MemoryStore(CacheStore):
-    """Thread-safe in-process store (tests; throwaway daemon backing)."""
-
-    name = "memory"
+    """Thread-safe in-process store (the test double)."""
 
     def __init__(self, *, clock=time.time):
         self._clock = clock
         self._lock = threading.Lock()
-        self._entries: dict[str, tuple[str, bytes]] = {}
+        self._entries: dict[str, bytes] = {}
         self._leases: dict[str, tuple[str, float]] = {}
 
     def get(self, key: str) -> bytes | None:
         with self._lock:
-            entry = self._entries.get(key)
-        return None if entry is None else entry[1]
+            return self._entries.get(key)
 
-    def put(self, key: str, data: bytes, *, generation: str = "") -> bool:
+    def put(self, key: str, data: bytes) -> bool:
         with self._lock:
             if key in self._entries:
                 return False
-            self._entries[key] = (generation, data)
+            self._entries[key] = data
             return True
 
     def delete(self, key: str) -> bool:
@@ -432,14 +235,6 @@ class MemoryStore(CacheStore):
     def keys(self) -> list[str]:
         with self._lock:
             return sorted(self._entries)
-
-    def gc(self, keep_generation: str) -> int:
-        with self._lock:
-            stale = [key for key, (generation, _) in self._entries.items()
-                     if generation != keep_generation]
-            for key in stale:
-                del self._entries[key]
-            return len(stale)
 
     def acquire_lease(self, key: str, owner: str,
                       ttl_s: float) -> LeaseInfo:
@@ -457,187 +252,3 @@ class MemoryStore(CacheStore):
             held = self._leases.get(key)
             if held is not None and held[0] == owner:
                 del self._leases[key]
-
-
-# ------------------------------------------------------------------ remote
-
-#: Compress request/response bodies beyond this size (tiny bodies are
-#: cheaper uncompressed).
-GZIP_THRESHOLD = 512
-
-
-class RemoteStore(CacheStore):
-    """HTTP client for the :mod:`repro.harness.cached` daemon.
-
-    One persistent ``http.client.HTTPConnection`` is reused across
-    requests (re-established once per request on a stale socket), bodies
-    over :data:`GZIP_THRESHOLD` travel gzipped in both directions, and
-    :meth:`get_many` is a single ``POST /v1/batch`` round trip.
-    """
-
-    name = "http"
-
-    def __init__(self, url: str, *, timeout_s: float = 30.0):
-        parts = urlsplit(url)
-        if parts.scheme not in ("http", "https") or not parts.hostname:
-            raise CacheBackendError(
-                f"malformed cache daemon URL {url!r} "
-                f"(expected http://HOST:PORT)")
-        self.url = url
-        self._host = parts.hostname
-        self._port = parts.port or (443 if parts.scheme == "https" else 80)
-        self._scheme = parts.scheme
-        self._timeout_s = timeout_s
-        self._lock = threading.Lock()
-        self._conn = None
-
-    # -------------------------------------------------------------- wire
-
-    def _connect(self):
-        import http.client
-        import socket
-        if self._scheme == "https":
-            conn = http.client.HTTPSConnection(self._host, self._port,
-                                               timeout=self._timeout_s)
-        else:
-            conn = http.client.HTTPConnection(self._host, self._port,
-                                              timeout=self._timeout_s)
-        conn.connect()
-        # Warm lookups are small request/reply pairs; Nagle + delayed
-        # ACK would add ~40ms per hit on loopback.
-        conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return conn
-
-    def _request(self, method: str, path: str, body: bytes | None = None,
-                 headers: dict | None = None) -> tuple[int, bytes]:
-        import http.client
-        headers = dict(headers or {})
-        headers.setdefault("Accept-Encoding", "gzip")
-        if body is not None and len(body) >= GZIP_THRESHOLD:
-            body = gzip.compress(body)
-            headers["Content-Encoding"] = "gzip"
-        with self._lock:
-            for attempt in (0, 1):
-                if self._conn is None:
-                    self._conn = self._connect()
-                try:
-                    self._conn.request(method, path, body=body,
-                                       headers=headers)
-                    response = self._conn.getresponse()
-                    payload = response.read()
-                    break
-                except (OSError, http.client.HTTPException):
-                    self._conn.close()
-                    self._conn = None
-                    if attempt:
-                        raise
-            if response.getheader("Content-Encoding") == "gzip":
-                payload = gzip.decompress(payload)
-            return response.status, payload
-
-    # -------------------------------------------------------------- blobs
-
-    def get(self, key: str) -> bytes | None:
-        status, payload = self._request("GET", f"/v1/blob/{key}")
-        return payload if status == 200 else None
-
-    def get_many(self, keys: list[str]) -> dict[str, bytes]:
-        if not keys:
-            return {}
-        body = json.dumps({"keys": list(keys)}).encode()
-        status, payload = self._request("POST", "/v1/batch", body)
-        if status != 200:
-            return {}
-        entries = json.loads(payload).get("entries", {})
-        return {key: base64.b64decode(data)
-                for key, data in entries.items()}
-
-    def put(self, key: str, data: bytes, *, generation: str = "") -> bool:
-        status, payload = self._request(
-            "PUT", f"/v1/blob/{key}", data,
-            headers={"X-Generation": generation})
-        return status == 201
-
-    def delete(self, key: str) -> bool:
-        status, _ = self._request("DELETE", f"/v1/blob/{key}")
-        return status == 200
-
-    def keys(self) -> list[str]:
-        status, payload = self._request("GET", "/v1/keys")
-        return json.loads(payload).get("keys", []) if status == 200 else []
-
-    def gc(self, keep_generation: str) -> int:
-        body = json.dumps({"keep": keep_generation}).encode()
-        status, payload = self._request("POST", "/v1/gc", body)
-        return json.loads(payload).get("removed", 0) if status == 200 else 0
-
-    def stats(self) -> dict:
-        """The daemon's live counter export (monitoring endpoint)."""
-        status, payload = self._request("GET", "/v1/stats")
-        return json.loads(payload) if status == 200 else {}
-
-    # -------------------------------------------------------------- leases
-
-    def acquire_lease(self, key: str, owner: str,
-                      ttl_s: float) -> LeaseInfo:
-        body = json.dumps({"key": key, "owner": owner,
-                           "ttl_s": ttl_s}).encode()
-        status, payload = self._request("POST", "/v1/lease", body)
-        if status != 200:
-            # A daemon hiccup must not wedge the sweep: pretend acquired
-            # (worst case the cell is computed twice; first writer wins).
-            return LeaseInfo(True, owner, time.time() + ttl_s)
-        return LeaseInfo.from_dict(json.loads(payload))
-
-    def release_lease(self, key: str, owner: str) -> None:
-        body = json.dumps({"key": key, "owner": owner}).encode()
-        self._request("POST", "/v1/lease/release", body)
-
-    def close(self) -> None:
-        with self._lock:
-            if self._conn is not None:
-                self._conn.close()
-                self._conn = None
-
-
-# ----------------------------------------------------------------- factory
-
-def parse_backend(spec: str, *, clock=time.time) -> CacheStore:
-    """Build a :class:`CacheStore` from a backend spec string.
-
-    Accepted shapes (see :data:`BACKEND_SCHEMES`)::
-
-        dir:.repro_cache      .repro_cache          # directory store
-        sqlite:results.sqlite results.sqlite        # SQLite (WAL) store
-        http://cachehost:8123                       # remote cache daemon
-
-    Anything else — unknown schemes, empty paths, URL typos — raises
-    :class:`CacheBackendError` (the CLIs map it to exit code 2).
-    """
-    if not isinstance(spec, str) or not spec.strip():
-        raise CacheBackendError("empty cache backend spec")
-    spec = spec.strip()
-    scheme, sep, rest = spec.partition(":")
-    if scheme in ("http", "https"):
-        return RemoteStore(spec)
-    if scheme == "sqlite" and sep:
-        if not rest:
-            raise CacheBackendError("sqlite backend needs a path: sqlite:PATH")
-        return SQLiteStore(rest, clock=clock)
-    if scheme == "dir" and sep:
-        if not rest:
-            raise CacheBackendError("dir backend needs a path: dir:PATH")
-        return DirStore(rest, clock=clock)
-    if scheme == "memory" and not rest:
-        return MemoryStore(clock=clock)
-    if sep and "/" not in scheme and "\\" not in scheme and scheme not in (
-            "", ".", ".."):
-        # Looks like scheme:..., but not one we know (and not a Windows
-        # drive or relative ./path) — a typo, not a directory name.
-        if len(scheme) > 1:
-            raise CacheBackendError(
-                f"unknown cache backend scheme {scheme!r} in {spec!r}; "
-                "expected one of: " + ", ".join(BACKEND_SCHEMES))
-    if spec.endswith((".sqlite", ".sqlite3", ".db")):
-        return SQLiteStore(spec, clock=clock)
-    return DirStore(spec, clock=clock)

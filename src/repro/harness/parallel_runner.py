@@ -6,12 +6,10 @@ execution and is by far the expensive step.  This module provides the
 production path for those sweeps:
 
 * :class:`ResultCache` — a content-addressed result cache over a
-  pluggable :class:`~repro.harness.cachestore.CacheStore` (the classic
-  JSON-file directory under ``.repro_cache/`` by default; SQLite and
-  remote-daemon backends via :meth:`ResultCache.from_spec`).  Entries
-  are keyed by a SHA-256 digest of the canonicalized
-  :class:`~repro.harness.runner.RunKey`, the recorder variant configs
-  and a code-version salt, computed with
+  :class:`~repro.harness.cachestore.CacheStore` (the JSON-file directory
+  under ``.repro_cache/`` by default).  Entries are keyed by a SHA-256
+  digest of the canonicalized :class:`~repro.harness.runner.RunKey`, the
+  recorder variant configs and a code-version salt, computed with
   :func:`repro.common.hashing.stable_digest` so keys are identical across
   interpreter runs, ``PYTHONHASHSEED`` values and dict orderings.  The
   salt includes a digest of the simulator, recorder and workload sources,
@@ -34,8 +32,8 @@ production path for those sweeps:
   failing raises :class:`SweepError` naming the shard.  With
   ``scheduler="stealing"`` the shards flow through the work-stealing
   engine of :mod:`repro.harness.stealing` instead of the static split,
-  and in-flight leases in the shared cache dedupe cells across
-  cooperating sweep processes.
+  and in-flight leases in the cache directory dedupe cells across
+  sweep processes that share it.
 
 * Cross-process telemetry (:mod:`repro.obs.telemetry`): every shard's
   full metrics snapshot — and, when
@@ -50,10 +48,16 @@ production path for those sweeps:
 Because every completed shard lands in the cache immediately, an
 interrupted sweep is resumable: a rerun skips the cached shards and only
 executes what is missing.
+
+:func:`add_sweep_flags` defines the command-line flags of every sweep
+entry point (``python -m repro.harness``, its ``run`` subcommand and
+``python -m repro.tools sweep``) and :func:`cache_from_args` turns them
+into the cache, so the three agree on one rule.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -67,7 +71,7 @@ from pathlib import Path
 
 from ..common.config import RecorderConfig
 from ..common.errors import ConfigError
-from ..common.hashing import generation_tag, stable_digest
+from ..common.hashing import stable_digest
 from ..obs.logging import get_logger
 from ..obs.metrics import MetricsRegistry, MetricsSnapshot
 from ..obs.telemetry import (TELEMETRY_FORMAT, FabricTelemetry,
@@ -75,15 +79,16 @@ from ..obs.telemetry import (TELEMETRY_FORMAT, FabricTelemetry,
                              TelemetryConfig)
 from ..sim.machine import DecodeCounters, RunResult
 from ..sim.serialize import SERIALIZATION_VERSION
-from .cachestore import CacheStore, DirStore, LeaseInfo, parse_backend
+from .cachestore import CacheStore, DirStore, LeaseInfo
 from .runner import VARIANTS, RunKey, execute_run, workload_program
 from .stealing import FabricHooks, SweepError, WorkStealingPool
 
 _LOG = get_logger("harness.sweep")
 
-__all__ = ["CACHE_FORMAT", "DEFAULT_CACHE_DIR", "GENERATION", "SweepError",
+__all__ = ["CACHE_FORMAT", "DEFAULT_CACHE_DIR", "SweepError",
            "cache_key", "code_salt", "sweep_result",
-           "ResultCache", "ShardOutcome", "ShardPool", "ParallelRunner"]
+           "ResultCache", "ShardOutcome", "ShardPool", "ParallelRunner",
+           "add_sweep_flags", "cache_from_args"]
 
 #: Bumped when the cache envelope layout changes.
 #: v2: entries hold the program-free wire format (serialization v3).
@@ -122,11 +127,6 @@ def code_salt(root: str | Path | None = None) -> str:
 #: mistaken for current ones.
 CODE_SALT = code_salt()
 
-#: Generation tag recorded next to every published entry so
-#: ``CacheStore.gc`` can drop whole stale code generations without
-#: parsing entry bodies.
-GENERATION = generation_tag(CODE_SALT)
-
 
 def cache_key(key: RunKey,
               variants: dict[str, RecorderConfig] | None = None,
@@ -151,15 +151,12 @@ def sweep_result(key: RunKey, wire: dict, origin: str,
 class ResultCache:
     """Content-addressed persistent store of serialized run results.
 
-    Storage is delegated to a pluggable
+    Storage is delegated to a
     :class:`~repro.harness.cachestore.CacheStore`; the default is the
-    classic :class:`~repro.harness.cachestore.DirStore` directory layout,
-    so ``ResultCache(path)`` keeps reading pre-existing caches unchanged.
-    Use :meth:`from_spec` to attach the SQLite or remote-daemon backends
-    (``sqlite:PATH`` / ``http://HOST:PORT``).  This class owns the
-    envelope format and its validation; the store only sees opaque keyed
-    blobs plus the :data:`GENERATION` tag that lets :meth:`gc` drop stale
-    code generations wholesale.
+    :class:`~repro.harness.cachestore.DirStore` directory layout, so
+    ``ResultCache(path)`` keeps reading pre-existing caches unchanged
+    (tests pass ``store=MemoryStore()``).  This class owns the envelope
+    format and its validation; the store only sees opaque keyed blobs.
     """
 
     def __init__(self, root: str | Path = DEFAULT_CACHE_DIR, *,
@@ -179,17 +176,6 @@ class ResultCache:
         #: cache served or stored (results decode those lazily, on read).
         self.decoded = DecodeCounters()
 
-    @classmethod
-    def from_spec(cls, spec: str) -> "ResultCache":
-        """Build a cache from a backend spec string (``dir:PATH``,
-        ``sqlite:PATH``, ``http://HOST:PORT``, or a bare path).
-
-        Malformed specs raise
-        :class:`~repro.harness.cachestore.CacheBackendError`, which the
-        CLIs map to the usage exit code (2).
-        """
-        return cls(store=parse_backend(spec))
-
     @property
     def corrupt(self) -> int:
         """Total quarantined entries (sum over :attr:`corrupt_reasons`)."""
@@ -207,7 +193,7 @@ class ResultCache:
         """The cached result for ``key``, or None on miss / corruption.
 
         An entry that cannot be parsed or fails envelope validation is
-        quarantined in the store (the directory backend renames it to
+        quarantined in the store (:class:`DirStore` renames it to
         ``*.corrupt``) with a warning and a per-reason counter, and the
         shard is recomputed — a half-written or damaged cache never
         poisons a sweep.  The result decodes its logs and rebuilds its
@@ -226,14 +212,13 @@ class ResultCache:
 
     def get_many(self, keys, variants: dict[str, RecorderConfig] | None = None
                  ) -> dict[RunKey, RunResult]:
-        """Batched lookup of many keys (one round trip on the remote
-        backend); corrupt entries quarantine exactly as in :meth:`get`."""
+        """The cached results of many keys (misses are left out); corrupt
+        entries quarantine exactly as in :meth:`get`."""
         variants = VARIANTS if variants is None else variants
         addressed = {cache_key(key, variants): key for key in keys}
-        found = self.store.get_many(list(addressed))
         out: dict[RunKey, RunResult] = {}
         for address, key in addressed.items():
-            data = found.get(address)
+            data = self.store.get(address)
             if data is None:
                 self.misses += 1
                 continue
@@ -303,8 +288,7 @@ class ResultCache:
             "result": result,
         }
         created = self.store.put(cache_key(key, variants),
-                                 json.dumps(envelope).encode(),
-                                 generation=GENERATION)
+                                 json.dumps(envelope).encode())
         if created:
             self.writes += 1
         else:
@@ -327,11 +311,6 @@ class ResultCache:
 
     # ----------------------------------------------------------- accounting
 
-    def gc(self) -> int:
-        """Drop every entry from a different code generation; returns the
-        number removed."""
-        return self.store.gc(GENERATION)
-
     def counters(self) -> dict[str, int]:
         """Flat counter export for the metrics registry.
 
@@ -347,11 +326,45 @@ class ResultCache:
             out["write_races"] = self.write_races
         return out
 
-    def close(self) -> None:
-        self.store.close()
-
     def __len__(self) -> int:
         return len(self.store)
+
+
+# ------------------------------------------------------------ sweep flags
+
+def add_sweep_flags(parser: argparse.ArgumentParser) -> None:
+    """Define the flags every sweep entry point shares: worker count,
+    result cache, scheduler and metrics export."""
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="worker processes for the recording sweep "
+                             "(default 1: serial)")
+    parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
+                        help="persistent result cache directory "
+                             f"(default {DEFAULT_CACHE_DIR})")
+    cache = parser.add_mutually_exclusive_group()
+    cache.add_argument("--no-cache", action="store_true",
+                       help="do not read or write the result cache")
+    cache.add_argument("--resume", action="store_true",
+                       help="resume an interrupted sweep from the cached "
+                            "shards (cache reads are on by default; this "
+                            "makes the intent explicit and rejects "
+                            "--no-cache)")
+    parser.add_argument("--scheduler", default="static",
+                        choices=("static", "stealing"),
+                        help="shard scheduler: 'static' (classic pool) or "
+                             "'stealing' (work-stealing deque + in-flight "
+                             "leases deduping cells across sweep processes "
+                             "that share --cache-dir)")
+    parser.add_argument("--metrics-out", default=None,
+                        help="write the sweep's metrics snapshot (sweep.* "
+                             "counters) as JSON; a single-workload 'run' "
+                             "writes the recording's instead")
+
+
+def cache_from_args(args: argparse.Namespace) -> ResultCache | None:
+    """The result cache :func:`add_sweep_flags` selects: ``--cache-dir``
+    (default :data:`DEFAULT_CACHE_DIR`) unless ``--no-cache``."""
+    return None if args.no_cache else ResultCache(args.cache_dir)
 
 
 # -------------------------------------------------------- worker protocol
@@ -613,8 +626,7 @@ class ParallelRunner:
 
         results: dict[RunKey, RunResult] = {}
         pending: list[RunKey] = []
-        # One batched lookup for the whole grid: a single round trip on
-        # the remote backend instead of one HTTP exchange per cell.
+        # Look the whole grid up before scheduling anything.
         found = (self.cache.get_many(ordered, self.variants)
                  if self.cache is not None else {})
         for key in ordered:

@@ -188,17 +188,16 @@ def execute_run(key: RunKey,
 class ExperimentRunner:
     """Memoizing front-end over :class:`~repro.sim.machine.Machine`.
 
-    ``jobs``/``cache_dir`` opt into the parallel sharded executor and the
-    persistent result cache (see :mod:`repro.harness.parallel_runner`);
-    with the defaults the runner behaves exactly like the historical
-    serial, in-memory-only version.
+    ``jobs`` and ``cache_dir`` (or a ready ``cache``) opt into the
+    parallel sharded executor and the persistent result cache (see
+    :mod:`repro.harness.parallel_runner`); with the defaults the runner
+    behaves exactly like the historical serial, in-memory-only version.
     """
 
     def __init__(self, *, seed: int = 1, scale: float | None = None,
                  workloads: tuple[str, ...] | None = None,
                  jobs: int = 1, cache_dir: str | None = None,
-                 cache_backend: str | None = None,
-                 use_cache: bool | None = None,
+                 cache=None,
                  variants: dict[str, RecorderConfig] | None = None,
                  progress=None, scheduler: str = "static"):
         self.seed = seed
@@ -208,17 +207,10 @@ class ExperimentRunner:
         self.variants = VARIANTS if variants is None else dict(variants)
         self.progress = progress
         self.scheduler = scheduler
-        if use_cache is None:
-            use_cache = cache_dir is not None or cache_backend is not None
-        self.cache = None
-        if use_cache:
-            from .parallel_runner import DEFAULT_CACHE_DIR, ResultCache
-            if cache_backend:
-                # Pluggable backend spec (dir:/sqlite:/http://); malformed
-                # specs raise CacheBackendError -> CLI usage exit code 2.
-                self.cache = ResultCache.from_spec(cache_backend)
-            else:
-                self.cache = ResultCache(cache_dir or DEFAULT_CACHE_DIR)
+        if cache is None and cache_dir is not None:
+            from .parallel_runner import ResultCache
+            cache = ResultCache(cache_dir)
+        self.cache = cache
         self._memo: dict[RunKey, RunResult] = {}
         self._sweep_registry = None
 

@@ -7,8 +7,7 @@ Usage::
     python -m repro.tools inspect rec/
     python -m repro.tools sweep --workloads fft,radix --cores 4,8 \\
         --consistency RC,TSO --jobs 4 --scheduler stealing \\
-        --cache-url http://cachehost:8123
-    python -m repro.tools cache-serve --port 8123 --store sweep.sqlite
+        --cache-dir .repro_cache
     python -m repro.tools sweep-bench --cells 64 --jobs 8 --min-speedup 3
     python -m repro.tools bench --workloads fft --cores 16 \\
         --out BENCH_kernel.json --min-speedup 1.5
@@ -22,17 +21,17 @@ configured machine and saves the recording directory; ``replay``
 deterministically replays a stored variant, verifying against the stored
 execution; ``inspect`` summarizes the logs without replaying.  ``sweep``
 records a (workload x cores x consistency) grid through the parallel
-sharded runner with the persistent result cache — interrupt it and rerun
-(``--resume``) and it picks up where it left off.  The cache is
-pluggable (``--cache-backend dir:/sqlite:/http://``), ``cache-serve``
-runs the shared HTTP cache daemon, ``--scheduler stealing`` swaps the
-static shard split for the work-stealing engine whose in-flight leases
-dedupe cells across cooperating sweep processes, and ``sweep-bench``
-measures all of it (straggler-skew speedup, lease dedupe, warm remote
-hits) into the perf-observatory history.  ``bench`` times the
-event-driven and lockstep simulation kernels on the same workloads,
-checks their results are bit-identical, writes the comparison to a JSON
-report and appends one record per workload to the append-only
+sharded runner with the persistent result cache (``--cache-dir``,
+default ``.repro_cache``) — interrupt it and rerun (``--resume``) and it
+picks up where it left off.  It takes the same sweep flags as
+``python -m repro.harness``.  ``--scheduler stealing`` swaps the static
+shard split for the work-stealing engine whose in-flight leases dedupe
+cells across sweep processes sharing one ``--cache-dir``, and
+``sweep-bench`` measures that engine (straggler-skew speedup,
+exactly-once lease dedupe) into the perf-observatory history.  ``bench``
+times the event-driven and lockstep simulation kernels on the same
+workloads, checks their results are bit-identical, writes the comparison
+to a JSON report and appends one record per workload to the append-only
 ``BENCH_history.jsonl`` perf observatory.  ``profile`` attributes every
 simulated core-cycle of one run to busy/stall-reason buckets and the
 host wall time to kernel components (:mod:`repro.obs.profiler`).
@@ -67,6 +66,8 @@ from .common.errors import (
     ReplayDivergenceError,
     WorkloadError,
 )
+from .harness.parallel_runner import (ParallelRunner, add_sweep_flags,
+                                      cache_from_args)
 from .obs.logging import add_log_level_argument, setup_logging
 from .recorder.logfmt import IntervalFrame
 from .sim import Machine
@@ -302,21 +303,6 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.resume and args.no_cache:
-        print("error: --resume needs the result cache; drop --no-cache",
-              file=sys.stderr)
-        return 2
-    if args.cache_backend and args.cache_url:
-        print("error: --cache-backend and --cache-url are two spellings of "
-              "the same thing; give one", file=sys.stderr)
-        return 2
-    backend_spec = args.cache_backend or args.cache_url
-    if args.no_cache and backend_spec:
-        print("error: --no-cache contradicts --cache-backend/--cache-url",
-              file=sys.stderr)
-        return 2
-    from .harness.parallel_runner import (DEFAULT_CACHE_DIR, ParallelRunner,
-                                          ResultCache)
     from .harness.report import format_table, render_sweep_summary
     from .harness.runner import RunKey
 
@@ -336,14 +322,6 @@ def cmd_sweep(args) -> int:
             for workload in workloads
             for cores in core_counts
             for model in models]
-    if args.no_cache:
-        cache = None
-    elif backend_spec:
-        # Malformed specs raise CacheBackendError (a ConfigError), which
-        # main() maps to the usage exit code 2.
-        cache = ResultCache.from_spec(backend_spec)
-    else:
-        cache = ResultCache(args.cache_dir or DEFAULT_CACHE_DIR)
     from .obs.telemetry import TelemetryConfig
     telemetry = TelemetryConfig(
         capture_trace=args.capture_trace or bool(args.trace_out),
@@ -351,9 +329,8 @@ def cmd_sweep(args) -> int:
     # Progress lines go through the structured repro.harness.sweep logger
     # (configured by --log-level in main), not ad-hoc stderr prints.
     runner = ParallelRunner(
-        jobs=args.jobs, cache=cache, timeout_s=args.timeout,
-        telemetry=telemetry, scheduler=args.scheduler,
-        lease_ttl_s=args.lease_ttl)
+        jobs=args.jobs, cache=cache_from_args(args), timeout_s=args.timeout,
+        telemetry=telemetry, scheduler=args.scheduler)
     results = runner.run(keys)
 
     rows = []
@@ -378,8 +355,8 @@ def cmd_sweep(args) -> int:
         from .sim.serialize import run_result_to_dict
         # Fully deterministic artifact: serialized results (the sweep wire
         # format, programs pinned by digest) keyed by shard label, no wall
-        # times or counters — byte-identical no matter the scheduler,
-        # backend, job width or cache temperature.
+        # times or counters — byte-identical no matter the scheduler, job
+        # width or cache temperature.
         payload = {key.label(): run_result_to_dict(results[key],
                                                    include_program=False)
                    for key in sorted(keys, key=RunKey.label)}
@@ -436,8 +413,7 @@ def cmd_sweep_bench(args) -> int:
     from concurrent.futures import wait as futures_wait
 
     from .common.hashing import stable_digest
-    from .harness.cached import CacheDaemon
-    from .harness.cachestore import MemoryStore, RemoteStore
+    from .harness.cachestore import MemoryStore
     from .harness.stealing import (FabricHooks, WorkStealingPool,
                                    static_partitions)
 
@@ -526,25 +502,6 @@ def cmd_sweep_bench(args) -> int:
     total_executed = sum(executed)
     exactly_once = total_executed == cells
 
-    # ---- arm 4: warm remote-cache hits through the HTTP daemon.
-    daemon = CacheDaemon(MemoryStore()).start()
-    remote = RemoteStore(daemon.url)
-    blob = json.dumps({"pad": "x" * 2000}).encode()
-    for i in range(cells):
-        remote.put(f"warm-{i}", blob)
-    lookups_ms = []
-    for _ in range(args.warm_lookups):
-        started = time.perf_counter()
-        remote.get("warm-0")
-        lookups_ms.append((time.perf_counter() - started) * 1000.0)
-    started = time.perf_counter()
-    found = remote.get_many([f"warm-{i}" for i in range(cells)])
-    batch_s = time.perf_counter() - started
-    remote.close()
-    daemon.stop()
-    lookups_ms.sort()
-    warm_ms = lookups_ms[len(lookups_ms) // 2]
-
     config = {"cells": cells, "heavy": heavy, "heavy_ms": args.heavy_ms,
               "light_ms": args.light_ms, "jobs": jobs}
     report = {
@@ -555,11 +512,6 @@ def cmd_sweep_bench(args) -> int:
         "fabric": {"executed": executed, "deduped": deduped,
                    "total_executed": total_executed, "cells": cells,
                    "exactly_once": exactly_once},
-        "remote": {"warm_hit_ms_p50": round(warm_ms, 3),
-                   "warm_hit_ms_max": round(lookups_ms[-1], 3),
-                   "batch_s": round(batch_s, 4),
-                   "batch_cells_per_s": round(len(found) / batch_s, 1)
-                   if batch_s > 0 else float("inf")},
     }
 
     print(f"sweep-bench: skewed {cells}-cell grid, {heavy} heavy cells, "
@@ -570,8 +522,6 @@ def cmd_sweep_bench(args) -> int:
           f"across 2 cooperating schedulers "
           f"(rank0 {executed[0]}+{deduped[0]} dedup, "
           f"rank1 {executed[1]}+{deduped[1]} dedup)")
-    print(f"  warm remote    {warm_ms:.2f}ms/hit (p50), "
-          f"{cells}-key batch in {batch_s * 1000:.1f}ms")
 
     if args.out:
         with open(args.out, "w") as handle:
@@ -603,15 +553,6 @@ def cmd_sweep_bench(args) -> int:
               file=sys.stderr)
         code = 1
     return code
-
-
-def cmd_cache_serve(args) -> int:
-    from .harness.cached import serve
-    from .harness.cachestore import MemoryStore, SQLiteStore
-
-    store = SQLiteStore(args.store) if args.store else MemoryStore()
-    serve(store, host=args.host, port=args.port)
-    return 0
 
 
 def cmd_bench(args) -> int:
@@ -952,39 +893,13 @@ def main(argv: list[str] | None = None) -> int:
                        help="attach the SC/TSO baseline recorders")
     sweep.add_argument("--scale", type=float, default=0.5)
     sweep.add_argument("--seed", type=int, default=1)
-    sweep.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (default: CPU count)")
-    sweep.add_argument("--cache-dir", default=None,
-                       help="result cache directory (default .repro_cache)")
-    sweep.add_argument("--cache-backend", default=None, metavar="SPEC",
-                       help="pluggable cache backend: dir:PATH, sqlite:PATH "
-                            "or http://HOST:PORT (a running cache-serve "
-                            "daemon); overrides --cache-dir")
-    sweep.add_argument("--cache-url", default=None, metavar="URL",
-                       help="shorthand for --cache-backend http://... "
-                            "(remote cache daemon URL)")
-    sweep.add_argument("--scheduler", default="static",
-                       choices=("static", "stealing"),
-                       help="shard scheduler: static pool or work-stealing "
-                            "deque with in-flight leases deduping cells "
-                            "across cooperating sweep processes")
-    sweep.add_argument("--lease-ttl", type=float, default=30.0,
-                       metavar="SECONDS",
-                       help="in-flight lease TTL before peers may steal a "
-                            "cell (stealing scheduler; default 30)")
+    add_sweep_flags(sweep)
     sweep.add_argument("--results-out", default=None,
                        help="write the serialized results keyed by shard "
                             "label (deterministic: byte-identical across "
-                            "schedulers, backends and cache temperature)")
-    sweep.add_argument("--no-cache", action="store_true",
-                       help="do not read or write the result cache")
-    sweep.add_argument("--resume", action="store_true",
-                       help="resume an interrupted sweep from cached shards "
-                            "(on by default; rejects --no-cache)")
+                            "schedulers, job widths and cache temperature)")
     sweep.add_argument("--timeout", type=float, default=None,
                        help="per-shard timeout in seconds")
-    sweep.add_argument("--metrics-out", default=None,
-                       help="write the sweep metrics snapshot as JSON")
     sweep.add_argument("--capture-trace", action="store_true",
                        help="workers keep a bounded trace ring buffer and "
                             "ship it back with their results")
@@ -998,9 +913,8 @@ def main(argv: list[str] | None = None) -> int:
 
     sweep_bench = sub.add_parser(
         "sweep-bench",
-        help="benchmark the sweep fabric: static vs work-stealing on a "
-             "straggler-skewed grid, two-scheduler lease dedupe, and warm "
-             "remote-cache hit latency")
+        help="benchmark the sweep scheduler: static vs work-stealing on a "
+             "straggler-skewed grid, and two-scheduler lease dedupe")
     sweep_bench.add_argument("--cells", type=int, default=64,
                              help="synthetic grid size (default 64)")
     sweep_bench.add_argument("--heavy", type=int, default=8,
@@ -1012,9 +926,6 @@ def main(argv: list[str] | None = None) -> int:
                              help="light cell cost in ms (default 10)")
     sweep_bench.add_argument("--jobs", type=int, default=8,
                              help="worker processes (default 8)")
-    sweep_bench.add_argument("--warm-lookups", type=int, default=50,
-                             help="single-key warm-hit samples against the "
-                                  "cache daemon (default 50)")
     sweep_bench.add_argument("--out", default=None,
                              help="write the JSON report")
     sweep_bench.add_argument("--history", default="BENCH_history.jsonl",
@@ -1026,17 +937,6 @@ def main(argv: list[str] | None = None) -> int:
                              help="exit non-zero if stealing beats the "
                                   "static split by less than this factor")
     sweep_bench.set_defaults(func=cmd_sweep_bench)
-
-    cache_serve = sub.add_parser(
-        "cache-serve",
-        help="serve a shared sweep result cache over HTTP (point sweeps "
-             "at it with --cache-url)")
-    cache_serve.add_argument("--host", default="127.0.0.1")
-    cache_serve.add_argument("--port", type=int, default=8123)
-    cache_serve.add_argument("--store", default=None,
-                             help="backing store: a SQLite path (durable) "
-                                  "or omitted for in-memory")
-    cache_serve.set_defaults(func=cmd_cache_serve)
 
     bench = sub.add_parser(
         "bench", help="time every kernel against the lockstep reference "

@@ -1,27 +1,21 @@
-"""Tests for the pluggable cache backends behind the sweep fabric.
+"""Tests for the blob stores behind the sweep result cache.
 
-Covers the :class:`CacheStore` contract across all four backends
-(directory, SQLite, memory, HTTP daemon): blob round trips, atomic
-first-writer-wins publishes, generation GC, quarantine, the in-flight
-lease protocol (acquire / refuse / refresh / expire / steal / release),
-and the ``parse_backend`` spec grammar with its exit-code-2 error shapes.
+Covers the :class:`CacheStore` contract on both stores (directory and
+memory): blob round trips, atomic first-writer-wins publishes, the
+result cache's grid lookup over each store, quarantine, and the
+in-flight lease protocol (acquire / refuse / refresh / expire / steal /
+release).
 """
-
-import gzip
-import json
 
 import pytest
 
-from repro.harness.cached import CacheDaemon
-from repro.harness.cachestore import (
-    CacheBackendError,
-    DirStore,
-    LeaseInfo,
-    MemoryStore,
-    RemoteStore,
-    SQLiteStore,
-    parse_backend,
-)
+from repro.common.config import ConsistencyModel, RecorderConfig, RecorderMode
+from repro.harness.cachestore import DirStore, MemoryStore
+from repro.harness.parallel_runner import ResultCache
+from repro.harness.runner import RunKey, execute_run
+
+TINY_VARIANTS = {"opt_4k": RecorderConfig(mode=RecorderMode.OPT,
+                                          max_interval_instructions=4096)}
 
 
 class FakeClock:
@@ -37,18 +31,15 @@ class FakeClock:
         self.now += seconds
 
 
-@pytest.fixture(params=["dir", "sqlite", "memory"])
+@pytest.fixture(params=["dir", "memory"])
 def store(request, tmp_path):
     clock = FakeClock()
     if request.param == "dir":
         built = DirStore(tmp_path / "cache", clock=clock)
-    elif request.param == "sqlite":
-        built = SQLiteStore(tmp_path / "cache.sqlite", clock=clock)
     else:
         built = MemoryStore(clock=clock)
     built.test_clock = clock
-    yield built
-    built.close()
+    return built
 
 
 # ------------------------------------------------------------------- blobs
@@ -56,15 +47,15 @@ def store(request, tmp_path):
 class TestBlobContract:
     def test_round_trip_and_miss(self, store):
         assert store.get("k1") is None
-        assert store.put("k1", b"payload", generation="g1") is True
+        assert store.put("k1", b"payload") is True
         assert store.get("k1") == b"payload"
         assert store.keys() == ["k1"]
         assert len(store) == 1
 
     def test_first_writer_wins(self, store):
-        assert store.put("k", b"first", generation="g") is True
+        assert store.put("k", b"first") is True
         # The losing publish reports False and never clobbers the winner.
-        assert store.put("k", b"second", generation="g") is False
+        assert store.put("k", b"second") is False
         assert store.get("k") == b"first"
 
     def test_delete(self, store):
@@ -74,34 +65,35 @@ class TestBlobContract:
         assert store.get("k") is None
 
     def test_get_many_returns_only_hits(self, store):
-        store.put("a", b"1")
-        store.put("b", b"2")
-        found = store.get_many(["a", "b", "missing"])
-        assert found == {"a": b"1", "b": b"2"}
-        assert store.get_many([]) == {}
-
-    def test_gc_drops_foreign_generations(self, store):
-        store.put("current", b"x", generation="gen-now")
-        store.put("stale", b"y", generation="gen-old")
-        store.put("untagged", b"z")
-        assert store.gc("gen-now") == 2
-        assert store.keys() == ["current"]
+        """The sweep's grid lookup: hits come back, misses are left out,
+        and each key is counted once."""
+        cache = ResultCache(store=store)
+        hit = RunKey("fft", 2, 0.05, 1, ConsistencyModel.RC, False)
+        miss = RunKey("radix", 2, 0.05, 1, ConsistencyModel.RC, False)
+        cache.put(hit, execute_run(hit, TINY_VARIANTS), TINY_VARIANTS)
+        found = cache.get_many([hit, miss], TINY_VARIANTS)
+        assert list(found) == [hit]
+        assert (cache.hits, cache.misses) == (1, 1)
+        assert cache.get_many([], TINY_VARIANTS) == {}
 
 
 class TestDirStoreLayout:
     def test_classic_json_layout_is_preserved(self, tmp_path):
-        """Back-compat: entries still live at ``<root>/<key>.json`` so a
-        pre-fabric ``.repro_cache/`` keeps working."""
+        """Back-compat: entries still live at ``<root>/<key>.json`` so an
+        existing ``.repro_cache/`` keeps working."""
         store = DirStore(tmp_path / "cache")
-        store.put("abc123", b"{}", generation="g")
+        store.put("abc123", b"{}")
         assert (tmp_path / "cache" / "abc123.json").read_bytes() == b"{}"
-        # Pre-existing entries (no .gen sidecar) are readable too.
+        # One file per entry: no sidecars next to it.
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == \
+            ["abc123.json"]
+        # Entries written by earlier code are readable too.
         (tmp_path / "cache" / "old999.json").write_bytes(b"legacy")
         assert store.get("old999") == b"legacy"
 
     def test_quarantine_renames_not_deletes(self, tmp_path):
         store = DirStore(tmp_path / "cache")
-        store.put("bad", b"torn", generation="g")
+        store.put("bad", b"torn")
         store.quarantine("bad", "decode")
         assert store.get("bad") is None
         assert (tmp_path / "cache" / "bad.corrupt").exists()
@@ -157,105 +149,3 @@ class TestLeases:
         info = store.acquire_lease("cell", "bob", ttl_s=30.0)
         assert info.acquired
 
-
-def test_lease_info_round_trips_through_dict():
-    info = LeaseInfo(True, "alice", 1234.5, stolen=True)
-    assert LeaseInfo.from_dict(info.to_dict()) == info
-
-
-# ------------------------------------------------------------------ remote
-
-@pytest.fixture
-def daemon():
-    running = CacheDaemon(MemoryStore()).start()
-    yield running
-    running.stop()
-
-
-class TestRemoteStore:
-    def test_blob_round_trip_over_http(self, daemon):
-        remote = RemoteStore(daemon.url)
-        assert remote.get("k") is None
-        assert remote.put("k", b"payload", generation="g") is True
-        assert remote.put("k", b"other", generation="g") is False
-        assert remote.get("k") == b"payload"
-        assert remote.keys() == ["k"]
-        assert remote.delete("k") is True
-        remote.close()
-
-    def test_batch_lookup_is_one_round_trip(self, daemon):
-        remote = RemoteStore(daemon.url)
-        remote.put("a", b"1")
-        remote.put("b", b"2")
-        assert remote.get_many(["a", "b", "miss"]) == {"a": b"1", "b": b"2"}
-        stats = remote.stats()
-        assert stats["batch_lookups"] == 1
-        assert stats["store"] == "memory"
-        remote.close()
-
-    def test_large_blob_survives_gzip_both_ways(self, daemon):
-        remote = RemoteStore(daemon.url)
-        blob = json.dumps({"x": list(range(2000))}).encode()
-        assert len(blob) > 4096   # forces gzip on the wire in both ways
-        remote.put("big", blob)
-        assert remote.get("big") == blob
-        assert gzip   # wire compression is transparent to callers
-        remote.close()
-
-    def test_lease_protocol_over_http(self, daemon):
-        alice = RemoteStore(daemon.url)
-        bob = RemoteStore(daemon.url)
-        mine = alice.acquire_lease("cell", "alice", ttl_s=30.0)
-        assert mine.acquired
-        theirs = bob.acquire_lease("cell", "bob", ttl_s=30.0)
-        assert not theirs.acquired and theirs.owner == "alice"
-        alice.release_lease("cell", "alice")
-        assert bob.acquire_lease("cell", "bob", ttl_s=30.0).acquired
-        alice.close()
-        bob.close()
-
-    def test_gc_over_http(self, daemon):
-        remote = RemoteStore(daemon.url)
-        remote.put("new", b"x", generation="now")
-        remote.put("old", b"y", generation="then")
-        assert remote.gc("now") == 1
-        assert remote.keys() == ["new"]
-        remote.close()
-
-    def test_connection_is_reused(self, daemon):
-        remote = RemoteStore(daemon.url)
-        remote.put("k", b"v")
-        first = remote._conn
-        for _ in range(3):
-            remote.get("k")
-        assert remote._conn is first
-        remote.close()
-
-
-# ----------------------------------------------------------------- factory
-
-class TestParseBackend:
-    def test_spec_dispatch(self, tmp_path):
-        assert isinstance(parse_backend(f"dir:{tmp_path}/c"), DirStore)
-        assert isinstance(parse_backend(str(tmp_path / "bare")), DirStore)
-        sqlite_store = parse_backend(f"sqlite:{tmp_path}/c.sqlite")
-        assert isinstance(sqlite_store, SQLiteStore)
-        sqlite_store.close()
-        by_suffix = parse_backend(str(tmp_path / "auto.sqlite"))
-        assert isinstance(by_suffix, SQLiteStore)
-        by_suffix.close()
-        assert isinstance(parse_backend("memory"), MemoryStore)
-        assert isinstance(parse_backend("http://localhost:8123"),
-                          RemoteStore)
-
-    @pytest.mark.parametrize("bad", [
-        "", "   ", "sqlite:", "dir:", "ftp://somewhere:21", "bogus:thing",
-        "http://",
-    ])
-    def test_malformed_specs_raise_backend_error(self, bad):
-        with pytest.raises(CacheBackendError):
-            parse_backend(bad)
-
-    def test_relative_paths_are_not_mistaken_for_schemes(self, tmp_path):
-        assert isinstance(parse_backend(f"{tmp_path}/x/y"), DirStore)
-        assert isinstance(parse_backend("./local_cache"), DirStore)

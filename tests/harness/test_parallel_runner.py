@@ -190,8 +190,8 @@ class TestResultCache:
         assert cache.counters()["corrupt.key_mismatch"] == 1
         assert "corrupt.decode" not in cache.counters()
 
-    def test_from_spec_counts_write_races(self, tmp_path):
-        cache = ResultCache.from_spec(f"sqlite:{tmp_path}/c.sqlite")
+    def test_dir_store_counts_write_races(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
         key = tiny_key()
         result = execute_run(key, TINY_VARIANTS)
         cache.put(key, result, TINY_VARIANTS)
@@ -200,17 +200,6 @@ class TestResultCache:
         assert counters["writes"] == 1
         assert counters["write_races"] == 1
         assert cache.get(key, TINY_VARIANTS).to_dict() == result.to_dict()
-        cache.close()
-
-    def test_gc_drops_only_foreign_generations(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        key = tiny_key()
-        cache.put(key, execute_run(key, TINY_VARIANTS), TINY_VARIANTS)
-        cache.store.put("deadbeef", b"{}", generation="older-code")
-        assert len(cache) == 2
-        assert cache.gc() == 1
-        assert len(cache) == 1
-        assert cache.get(key, TINY_VARIANTS) is not None
 
     def test_stale_cache_format_is_not_readable(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -481,9 +470,28 @@ class TestHarnessCli:
         assert "Figure 1" in cold
 
     def test_resume_rejects_no_cache(self, capsys):
+        """A usage error (exit 2) on every sweep entry point."""
+        from repro.harness.__main__ import main as harness_main
+        from repro.tools import main as tools_main
+        for main, argv in ((harness_main, ["--experiments", "fig1"]),
+                           (harness_main, ["run", "--workload", "fft,radix"]),
+                           (tools_main, ["sweep", "--workloads", "fft"])):
+            with pytest.raises(SystemExit) as caught:
+                main(argv + ["--resume", "--no-cache"])
+            assert caught.value.code == 2
+            assert "--no-cache" in capsys.readouterr().err
+
+    def test_run_workload_list_caches_in_the_default_dir(self, tmp_path,
+                                                         capsys,
+                                                         monkeypatch):
+        """``run`` follows the same cache rule as the other entry points:
+        without ``--cache-dir`` it caches in ``./.repro_cache``."""
         from repro.harness.__main__ import main
-        with pytest.raises(SystemExit):
-            main(["--experiments", "fig1", "--resume", "--no-cache"])
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--workload", "fft,radix", "--cores", "2",
+                     "--scale", "0.05"]) == 0
+        capsys.readouterr()
+        assert len(list((tmp_path / ".repro_cache").glob("*.json"))) == 2
 
     def test_run_subcommand_shards_workload_lists(self, tmp_path, capsys):
         from repro.harness.__main__ import main

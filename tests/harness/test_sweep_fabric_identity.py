@@ -1,21 +1,17 @@
-"""End-to-end invariants of the distributed sweep fabric.
+"""End-to-end invariants of the sweep scheduler and its shared cache.
 
-The tentpole guarantee: the fabric is *observationally invisible*.  A
-sweep's serialized results must be byte-identical no matter which
-scheduler runs the shards (serial / static pool / work stealing), which
-backend stores the cache (directory / SQLite / HTTP daemon), or whether
-the cache was cold or warmed by a peer.  Also covers the two-runner
-exactly-once lease dedupe and the CLI exit-code-2 contract for malformed
-backend specs.
+The guarantee: scheduling is *observationally invisible*.  A sweep's
+serialized results must be byte-identical no matter which scheduler runs
+the shards (serial / static pool / work stealing) and whether the cache
+directory was cold or warmed by an earlier sweep.  Also covers the
+two-runner exactly-once lease dedupe.
 """
 
+import json
 import threading
 
-import pytest
-
 from repro.common.config import ConsistencyModel, RecorderConfig, RecorderMode
-from repro.harness.cached import CacheDaemon
-from repro.harness.cachestore import MemoryStore, SQLiteStore
+from repro.harness.cachestore import DirStore, MemoryStore
 from repro.harness.parallel_runner import ParallelRunner, ResultCache
 from repro.harness.runner import RunKey
 
@@ -26,54 +22,45 @@ GRID = [RunKey("fft", 2, 0.05, 1, RC, False),
         RunKey("radix", 2, 0.05, 1, RC, False)]
 
 
-def _sweep_argv(tmp_path, tag, *, jobs="1", scheduler="static",
-                backend=None):
-    argv = ["sweep", "--workloads", "fft,radix", "--cores", "2",
+def _sweep_argv(tmp_path, tag, cache, *, jobs="1", scheduler="static"):
+    return ["sweep", "--workloads", "fft,radix", "--cores", "2",
             "--consistency", "RC", "--scale", "0.05",
             "--jobs", jobs, "--scheduler", scheduler,
-            "--results-out", str(tmp_path / f"{tag}.json")]
-    if backend is None:
-        argv += ["--cache-dir", str(tmp_path / f"cache_{tag}")]
-    else:
-        argv += ["--cache-backend", backend]
-    return argv
+            "--cache-dir", str(tmp_path / cache),
+            "--results-out", str(tmp_path / f"{tag}.json"),
+            "--metrics-out", str(tmp_path / f"{tag}.metrics")]
 
 
 class TestByteIdentity:
-    def test_results_identical_across_schedulers_and_backends(self, tmp_path,
-                                                              capsys):
-        """One grid, five ways — every serialized result file must be
+    def test_results_identical_across_schedulers_and_warm_rerun(self,
+                                                                tmp_path,
+                                                                capsys):
+        """One grid, four ways — every serialized result file must be
         byte-for-byte identical."""
         from repro.tools import main
-        daemon = CacheDaemon(MemoryStore()).start()
-        try:
-            matrix = [
-                ("serial_dir", dict()),
-                ("static_dir", dict(jobs="2")),
-                ("steal_dir", dict(jobs="2", scheduler="stealing")),
-                ("steal_sqlite", dict(
-                    jobs="2", scheduler="stealing",
-                    backend=f"sqlite:{tmp_path}/fabric.sqlite")),
-                ("steal_http_cold", dict(jobs="2", scheduler="stealing",
-                                         backend=daemon.url)),
-                # Rerun against the warm daemon: all cells fold from the
-                # shared cache, none execute.
-                ("steal_http_warm", dict(jobs="2", scheduler="stealing",
-                                         backend=daemon.url)),
-            ]
-            for tag, kwargs in matrix:
-                assert main(_sweep_argv(tmp_path, tag, **kwargs)) == 0
-                capsys.readouterr()
-        finally:
-            daemon.stop()
-        reference = (tmp_path / "serial_dir.json").read_bytes()
+        matrix = [
+            ("serial", "cache_serial", dict()),
+            ("static", "cache_static", dict(jobs="2")),
+            ("steal", "cache_steal", dict(jobs="2", scheduler="stealing")),
+            # Rerun on the stealing sweep's now-warm cache: every cell
+            # folds from the cache, none executes.
+            ("steal_warm", "cache_steal",
+             dict(jobs="2", scheduler="stealing")),
+        ]
+        for tag, cache, kwargs in matrix:
+            assert main(_sweep_argv(tmp_path, tag, cache, **kwargs)) == 0
+            capsys.readouterr()
+        warm = json.loads((tmp_path / "steal_warm.metrics").read_text())
+        assert warm["sweep.executed"] == 0
+        assert warm["sweep.cache_hits"] == 2
+        reference = (tmp_path / "serial.json").read_bytes()
         assert reference   # non-empty
-        for tag, _ in matrix[1:]:
+        for tag, _, _ in matrix[1:]:
             produced = (tmp_path / f"{tag}.json").read_bytes()
             assert produced == reference, f"{tag} diverged from serial run"
 
     def test_warm_rerun_executes_nothing(self, tmp_path):
-        store = SQLiteStore(tmp_path / "c.sqlite")
+        store = DirStore(tmp_path / "cache")
         cold = ParallelRunner(jobs=2, scheduler="stealing",
                               cache=ResultCache(store=store),
                               variants=TINY_VARIANTS)
@@ -86,7 +73,6 @@ class TestByteIdentity:
         assert warm.executed == 0
         for key in GRID:
             assert warm_results[key].to_dict() == cold_results[key].to_dict()
-        store.close()
 
 
 class TestTwoRunnerDedupe:
@@ -128,47 +114,3 @@ class TestTwoRunnerDedupe:
             assert {o.source for o in runner.outcomes} <= \
                 {"run", "cache", "fabric"}
 
-
-class TestCliBackendErrors:
-    def test_tools_sweep_rejects_malformed_backend(self, capsys):
-        from repro.tools import main
-        code = main(["sweep", "--workloads", "fft", "--cores", "2",
-                     "--scale", "0.05", "--cache-backend", "bogus:thing"])
-        assert code == 2
-        assert "unknown cache backend scheme" in capsys.readouterr().err
-
-    def test_tools_sweep_rejects_conflicting_backend_flags(self, capsys):
-        from repro.tools import main
-        code = main(["sweep", "--workloads", "fft", "--cores", "2",
-                     "--scale", "0.05", "--cache-backend", "memory",
-                     "--cache-url", "http://localhost:1"])
-        assert code == 2
-
-    def test_tools_sweep_rejects_backend_with_no_cache(self, capsys):
-        from repro.tools import main
-        code = main(["sweep", "--workloads", "fft", "--cores", "2",
-                     "--scale", "0.05", "--no-cache",
-                     "--cache-backend", "memory"])
-        assert code == 2
-
-    def test_harness_run_rejects_malformed_backend(self, capsys):
-        from repro.harness.__main__ import main
-        with pytest.raises(SystemExit) as caught:
-            main(["run", "--workload", "fft,radix", "--cores", "2",
-                  "--scale", "0.05", "--cache-backend", "ftp://nope:1"])
-        assert caught.value.code == 2
-
-    def test_harness_experiments_reject_malformed_backend(self, capsys):
-        from repro.harness.__main__ import main
-        with pytest.raises(SystemExit) as caught:
-            main(["--experiments", "fig1", "--cores", "2",
-                  "--cache-backend", "bogus:thing"])
-        assert caught.value.code == 2
-
-    def test_harness_rejects_conflicting_backend_flags(self, capsys):
-        from repro.harness.__main__ import main
-        with pytest.raises(SystemExit) as caught:
-            main(["run", "--workload", "fft", "--cores", "2",
-                  "--scale", "0.05", "--cache-backend", "memory",
-                  "--cache-url", "http://localhost:1"])
-        assert caught.value.code == 2
