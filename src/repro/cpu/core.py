@@ -107,33 +107,12 @@ class Core:
         # attempt, which dominated profiles).
         self._same_word: dict[int, list[DynInstr]] = {}
 
-        # Issue scheduling.  Entries are stamped with their admission order
-        # (``DynInstr.admit_order``) as they enter the pending queue, so a
-        # kernel that partitions the queue can restore the exact order.
+        # Issue scheduling.
         self._pending_issue: deque[DynInstr] = deque()
         self._waiting_disambiguation: list[DynInstr] = []
-        self._admit_counter = 0
 
         self.retired_seq = -1
         self.now = 0
-
-        # Issue-state version: bumped whenever something happens that could
-        # turn a previously blocked memory issue (write-buffer drain or
-        # pending load/RMW) into an issuable one — a perform (frees MSHRs,
-        # clears barriers and dependencies, advances the ordering oracles),
-        # an address resolution (new pending entrant, forwarding source,
-        # disambiguation promotion) or a store entering the write buffer.
-        # The generic kernels never read it; the compiled backend
-        # (repro.sim.compiled) memoizes fruitless issue scans on it.
-        # ``unpark_version`` counts only the performs driven by a bus
-        # commit (perform_cycle > now, i.e. fills of this core's own
-        # transactions) — the sole events that can free MSHRs or add
-        # coherence permissions, and therefore un-doom an access the
-        # memory system rejected outright.  Hits and forwards never move
-        # it, so the compiled backend re-examines its parked accesses only
-        # when one of this core's misses completes.
-        self.issue_version = 0
-        self.unpark_version = 0
 
         # Statistics.
         self.instructions_retired = 0
@@ -278,7 +257,6 @@ class Core:
             if dyn.opcode is Opcode.STORE:
                 dyn.in_write_buffer = True
                 self.write_buffer.append(dyn)
-                self.issue_version += 1
             dyn.retired = True
             dyn.retire_cycle = cycle
             self.retired_seq = dyn.seq
@@ -448,7 +426,6 @@ class Core:
         if dyn.performed:
             raise SimulationError(f"{dyn!r} performed twice")
         dyn.performed = True
-        self.issue_version += 1
         bucket = self._same_word[dyn.addr]
         bucket.remove(dyn)
         if not bucket:
@@ -464,11 +441,7 @@ class Core:
             # buffer slots and MSHRs free up *at* the commit cycle, before
             # the value is ready.  Performs from our own step (hits,
             # forwarding) have perform_cycle == self.now and need no wake.
-            # Only these commit-driven performs can un-doom an MSHR-full
-            # rejection (the commit freed this core's MSHR and filled its
-            # line), so only they advance the parked-access version.
             self.schedule_wake(perform_cycle)
-            self.unpark_version += 1
         out_of_order = self.oldest_unperformed_mem_seq() < dyn.seq
         if dyn.is_load_like:
             if dyn.opcode is Opcode.RMW:
@@ -712,7 +685,6 @@ class Core:
         dyn.addr = address
         dyn.addr_ready = True
         dyn.addr_ready_cycle = dyn.operands_ready_cycle + 1
-        self.issue_version += 1
         self._same_word.setdefault(address, []).append(dyn)
         self.schedule_wake(dyn.addr_ready_cycle)
         if dyn.opcode is Opcode.STORE:
@@ -722,8 +694,6 @@ class Core:
             return
         if dyn.opcode is Opcode.RMW:
             self._promote_disambiguated()
-            self._admit_counter += 1
-            dyn.admit_order = self._admit_counter
             self._pending_issue.append(dyn)
             return
         # LOAD: conservative disambiguation against older store addresses.
@@ -734,8 +704,6 @@ class Core:
 
     def _admit_load(self, dyn: DynInstr) -> None:
         dyn.depends_on = self._find_same_word_dependency(dyn)
-        self._admit_counter += 1
-        dyn.admit_order = self._admit_counter
         self._pending_issue.append(dyn)
 
     def _promote_disambiguated(self) -> None:

@@ -38,7 +38,6 @@ class DynInstr:
         "addr", "addr_ready", "addr_ready_cycle",
         "performed", "perform_cycle", "value_ready_cycle", "mem_value",
         "issued", "forwarded_from", "depends_on", "in_write_buffer",
-        "admit_order",
         # lifecycle
         "retired", "retire_cycle",
     )
@@ -88,10 +87,6 @@ class DynInstr:
         self.forwarded_from: "DynInstr | None" = None
         self.depends_on: "DynInstr | None" = None
         self.in_write_buffer = False
-        # Position in the core's issue-admission order (stamped when the
-        # access enters the pending-issue queue); lets the compiled kernel
-        # split and re-merge that queue without losing the generic order.
-        self.admit_order = 0
 
         self.retired = False
         self.retire_cycle = -1

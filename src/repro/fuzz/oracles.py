@@ -11,11 +11,6 @@ A candidate *fails* when any of these disagree:
   reference kernel must produce byte-identical serialized
   :class:`~repro.sim.machine.RunResult` objects for the same program
   (the event kernel is a scheduling optimisation, nothing more).
-* **Compiled vs event** — the generated (spec-specialized) kernel must
-  match the event kernel byte-for-byte too.  The ``__codegen_bug__``
-  override key selects one of
-  :data:`repro.sim.compiled.INJECTED_CODEGEN_BUGS` for the compiled run
-  only — the harness self-test that proves this oracle actually bites.
 * **Litmus sanity** — for litmus-kind genomes, the observed outcome must
   be in the consistency model's allowed set; and because the simulated
   models are strictly ordered (SC ⊆ TSO ⊆ RC), an SC execution's outcome
@@ -46,7 +41,7 @@ from ..common.hashing import stable_digest
 from ..harness.runner import baseline_factories_for
 from ..obs.coverage import coverage_signals
 from ..replay import replay_recording
-from ..sim import Machine, compiled as compiled_backend
+from ..sim import Machine
 from ..sim.serialize import run_result_to_dict
 from ..workloads.litmus import LITMUS_TESTS, outcome_of
 from .corpus import FuzzSpec, build_program, spec_from_dict, spec_to_dict
@@ -115,12 +110,9 @@ def recorder_variants(spec: FuzzSpec,
     Variant *names* are cap-independent (``base_cap``/``opt_cap``) so
     coverage bucket names stay comparable while the genome retunes the
     cap itself.  ``overrides`` sets RecorderConfig fields on every
-    variant — the CLI's ``--inject-bug`` hook rides through here.  The
-    ``__codegen_bug__`` key is the compiled kernel's, not a recorder
-    field, and is dropped here.
+    variant — the CLI's ``--inject-bug`` hook rides through here.
     """
-    overrides = {key: value for key, value in (overrides or {}).items()
-                 if key != "__codegen_bug__"}
+    overrides = overrides or {}
     return {
         "base_cap": RecorderConfig(
             mode=RecorderMode.BASE,
@@ -148,7 +140,6 @@ def evaluate_spec(spec: FuzzSpec, *,
                   overrides: dict | None = None) -> OracleReport:
     """Run one candidate through the full oracle stack (deterministic)."""
     program = build_program(spec)
-    codegen_bug = (overrides or {}).get("__codegen_bug__")
     variants = recorder_variants(spec, overrides)
     config = MachineConfig(num_cores=program.num_threads,
                            consistency=spec.consistency, seed=1)
@@ -158,14 +149,6 @@ def evaluate_spec(spec: FuzzSpec, *,
     lockstep = Machine(config, variants).run(
         program, kernel="lockstep", capture_load_trace=True,
         baseline_factories=baselines)
-    previous_bug = compiled_backend.INJECT_BUG
-    compiled_backend.INJECT_BUG = codegen_bug
-    try:
-        compiled = Machine(config, variants).run(
-            program, kernel="compiled", capture_load_trace=True,
-            baseline_factories=baselines)
-    finally:
-        compiled_backend.INJECT_BUG = previous_bug
 
     verdicts: list[OracleVerdict] = []
     event_wire = _fingerprint(event)
@@ -176,15 +159,6 @@ def evaluate_spec(spec: FuzzSpec, *,
             "kernel-equivalence", False,
             detail="event and lockstep kernels produced different "
                    "serialized RunResults"))
-    if event_wire == _fingerprint(compiled):
-        verdicts.append(OracleVerdict("compiled-vs-event", True))
-    else:
-        verdicts.append(OracleVerdict(
-            "compiled-vs-event", False,
-            detail="compiled and event kernels produced different "
-                   "serialized RunResults"
-                   + (f" (injected codegen bug {codegen_bug!r})"
-                      if codegen_bug else "")))
 
     for name in sorted(variants):
         try:

@@ -173,27 +173,6 @@ class MemorySystem:
         self.bus.enqueue(transaction)
         return True
 
-    def would_accept(self, core_id: int, line_addr: int,
-                     needs_write: bool) -> bool:
-        """Read-only twin of :meth:`issue`'s admission decision.
-
-        True iff an access by ``core_id`` to ``line_addr`` would be
-        admitted right now: an L1 hit with sufficient permission, a merge
-        into an already-pending transaction for the line, or a free MSHR.
-        Strictly side-effect free — no LRU touch, no statistics.
-
-        The compiled kernel (:mod:`repro.sim.compiled`) consults this once
-        an issue scan has seen an MSHR-full rejection, to skip building
-        doomed :class:`MemOp` objects for the remaining blocked accesses;
-        it must stay in lock-step with the decision tree in :meth:`issue`.
-        """
-        state = self.caches[core_id].lookup(line_addr)
-        if (state.can_write if needs_write else state.can_read):
-            return True
-        if self.bus.pending_for(core_id, line_addr) is not None:
-            return True
-        return self.bus.pending_count(core_id) < self.config.l1.mshr_entries
-
     def _waiter(self, op: MemOp) -> Callable[[int, int], None]:
         def on_commit(commit_cycle: int, data_ready_cycle: int) -> None:
             self._perform(op, commit_cycle, data_ready_cycle)

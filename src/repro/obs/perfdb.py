@@ -191,9 +191,6 @@ class PerfReport:
     tolerance: float = DEFAULT_TOLERANCE
     window: int = DEFAULT_WINDOW
     floor_speedup: float | None = None
-    #: Per-kernel absolute speedup floors ({"compiled": 5.0, ...});
-    #: ``floor_speedup`` is shorthand for the event kernel's entry.
-    floor_speedups: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -243,25 +240,19 @@ def regression_report(records: list[PerfRecord], *,
                       tolerance: float = DEFAULT_TOLERANCE,
                       window: int = DEFAULT_WINDOW,
                       floor_speedup: float | None = None,
-                      floor_speedups: dict | None = None,
                       skipped_lines: int = 0) -> PerfReport:
     """Compare every series' newest record against its rolling baseline.
 
     A series is one (workload, config-hash, kernel) triple; records keep
     file (append) order.  The baseline of a metric is the median over up
     to ``window`` records preceding the newest one; a drop below
-    ``baseline * (1 - tolerance)`` regresses.  Absolute speedup floors
-    (the old CI hard thresholds) additionally apply to the newest record
-    of the matching kernel's series even with no baseline:
-    ``floor_speedups`` maps kernel name to floor, and ``floor_speedup``
-    is shorthand for the event kernel's floor.
+    ``baseline * (1 - tolerance)`` regresses.  The absolute
+    ``floor_speedup`` (the old CI hard threshold) additionally applies to
+    the newest record of each ``event`` series even with no baseline;
+    series of other kernels, such as legacy history lines, get none.
     """
-    floors = dict(floor_speedups or {})
-    if floor_speedup is not None:
-        floors.setdefault("event", floor_speedup)
     report = PerfReport(tolerance=tolerance, window=window,
                         floor_speedup=floor_speedup,
-                        floor_speedups=floors,
                         skipped_lines=skipped_lines)
     series: dict[tuple[str, str, str], list[PerfRecord]] = {}
     for record in records:
@@ -288,13 +279,13 @@ def regression_report(records: list[PerfRecord], *,
                 workload=workload, config_hash=config_hash, metric=metric,
                 latest=latest_value, baseline=baseline, ratio=ratio,
                 regressed=regressed, note=note, kernel=kernel))
-        floor = floors.get(kernel)
-        if floor is not None:
+        if floor_speedup is not None and kernel == "event":
             report.checks.append(RegressionCheck(
                 workload=workload, config_hash=config_hash,
                 metric="speedup_floor", latest=latest.speedup,
-                baseline=floor,
-                ratio=(latest.speedup / floor if floor else None),
-                regressed=latest.speedup < floor,
-                note=f"absolute floor {floor:.2f}x", kernel=kernel))
+                baseline=floor_speedup,
+                ratio=(latest.speedup / floor_speedup
+                       if floor_speedup else None),
+                regressed=latest.speedup < floor_speedup,
+                note=f"absolute floor {floor_speedup:.2f}x", kernel=kernel))
     return report

@@ -50,8 +50,7 @@ from time import perf_counter
 from ..common.errors import SimulationError
 
 __all__ = ["DEADLOCK_WINDOW", "KERNELS", "WakeQueue", "CoreWakeQueue",
-           "OccupancySampler", "run_lockstep", "run_event", "run_compiled",
-           "deadlock_report"]
+           "OccupancySampler", "run_lockstep", "run_event", "deadlock_report"]
 
 # Abort if no component makes progress for this many consecutive cycles
 # while wake-ups are still pending (a liveness bug in the model).
@@ -414,23 +413,7 @@ def run_event(program, cores, memsys, sampler: OccupancySampler,
         cycle = target
 
 
-def run_compiled(program, cores, memsys, sampler: OccupancySampler,
-                 max_cycles: int, profiler=None) -> int:
-    """Compiled kernel: dispatch to a config-specialized generated module.
-
-    :mod:`repro.sim.compiled` generates (and caches, keyed by config hash
-    plus code-version salt) a flattened per-config copy of the event
-    kernel's core step; runs with a profiler or tracer attached fall back
-    to :func:`run_event`.  Imported lazily — the generic kernels must not
-    depend on the codegen backend.
-    """
-    from .compiled import dispatch_compiled
-    return dispatch_compiled(program, cores, memsys, sampler, max_cycles,
-                             profiler)
-
-
 KERNELS = {
     "event": run_event,
     "lockstep": run_lockstep,
-    "compiled": run_compiled,
 }

@@ -586,7 +586,6 @@ def cmd_bench(args) -> int:
         "workloads": {},
     }
     worst_speedup = None
-    worst_compiled = None
     for name in workloads:
         program = build_workload(name, num_threads=args.cores,
                                  scale=args.scale, seed=args.seed)
@@ -622,10 +621,6 @@ def cmd_bench(args) -> int:
         report["workloads"][name] = entry
         worst_speedup = (speedup if worst_speedup is None
                          else min(worst_speedup, speedup))
-        worst_compiled = (entry["speedups"]["compiled"]
-                          if worst_compiled is None
-                          else min(worst_compiled,
-                                   entry["speedups"]["compiled"]))
         ratios = " ".join(f"{kernel} {ratio:.2f}x" for kernel, ratio
                           in sorted(entry["speedups"].items()))
         print(f"{name}: lockstep {lockstep_wall:.2f}s"
@@ -637,10 +632,6 @@ def cmd_bench(args) -> int:
     if args.min_speedup is not None:
         report["min_speedup"] = args.min_speedup
         report["pass"] = worst_speedup >= args.min_speedup
-    if args.min_compiled_speedup is not None:
-        report["min_compiled_speedup"] = args.min_compiled_speedup
-        report["pass"] = (report.get("pass", True)
-                         and worst_compiled >= args.min_compiled_speedup)
     if args.out:
         with open(args.out, "w") as handle:
             json.dump(report, handle, indent=1, sort_keys=True)
@@ -656,11 +647,6 @@ def cmd_bench(args) -> int:
     if args.min_speedup is not None and worst_speedup < args.min_speedup:
         print(f"error: event kernel speedup {worst_speedup:.2f}x below "
               f"required {args.min_speedup:.2f}x", file=sys.stderr)
-        return 1
-    if (args.min_compiled_speedup is not None
-            and worst_compiled < args.min_compiled_speedup):
-        print(f"error: compiled kernel speedup {worst_compiled:.2f}x below "
-              f"required {args.min_compiled_speedup:.2f}x", file=sys.stderr)
         return 1
     return 0
 
@@ -715,32 +701,32 @@ def cmd_perf_report(args) -> int:
     tolerance = (DEFAULT_TOLERANCE if args.tolerance is None
                  else args.tolerance)
     window = DEFAULT_WINDOW if args.window is None else args.window
-    floors = {}
-    if args.floor_compiled_speedup is not None:
-        floors["compiled"] = args.floor_compiled_speedup
     report = regression_report(records, tolerance=tolerance, window=window,
                                floor_speedup=args.floor_speedup,
-                               floor_speedups=floors,
                                skipped_lines=skipped)
     print(report.render(), end="")
     return 0 if report.passed else 1
 
 
 #: Known-bad configurations the fuzz harness can deliberately
-#: re-introduce (``--inject-bug``) to prove it still catches them:
-#: recorder-field overrides, or a ``__codegen_bug__`` key naming one of
-#: :data:`repro.sim.compiled.INJECTED_CODEGEN_BUGS` for the compiled
-#: kernel only.
+#: re-introduce (``--inject-bug``) to prove it still catches them, as
+#: recorder-field overrides.
 INJECTED_BUGS = {
     "timestamp-floor-off": {"interval_timestamp_floor": False},
-    "drop-fence-stall": {"__codegen_bug__": "drop-fence-stall"},
 }
 
 #: Which oracle must catch each injected bug for the self-test to pass.
 INJECTED_BUG_ORACLES = {
     "timestamp-floor-off": "replay:",
-    "drop-fence-stall": "compiled-vs-event",
 }
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _parse_fuzz_budget(text: str) -> dict:
@@ -939,8 +925,8 @@ def main(argv: list[str] | None = None) -> int:
     sweep_bench.set_defaults(func=cmd_sweep_bench)
 
     bench = sub.add_parser(
-        "bench", help="time every kernel against the lockstep reference "
-                      "and check they agree byte-for-byte")
+        "bench", help="time the event kernel against the lockstep "
+                      "reference and check they agree byte-for-byte")
     bench.add_argument("--workloads", default="fft",
                        help="comma-separated workloads (default: fft)")
     bench.add_argument("--cores", type=int, default=16)
@@ -955,15 +941,12 @@ def main(argv: list[str] | None = None) -> int:
                        help="L1 MSHR entries (few => long stalls)")
     bench.add_argument("--mem-cycles", type=int, default=400,
                        help="memory roundtrip latency in cycles")
-    bench.add_argument("--repeats", type=int, default=3,
+    bench.add_argument("--repeats", type=_positive_int, default=3,
                        help="timing repeats; best wall time is reported")
     bench.add_argument("--out", default=None,
                        help="write the JSON report (e.g. BENCH_kernel.json)")
     bench.add_argument("--min-speedup", type=float, default=None,
                        help="exit non-zero if the event kernel speedup "
-                            "falls below this factor")
-    bench.add_argument("--min-compiled-speedup", type=float, default=None,
-                       help="exit non-zero if the compiled kernel speedup "
                             "falls below this factor")
     bench.add_argument("--history", default="BENCH_history.jsonl",
                        help="append-only JSONL perf history "
@@ -1000,10 +983,6 @@ def main(argv: list[str] | None = None) -> int:
                                   "(default 5)")
     perf_report.add_argument("--floor-speedup", type=float, default=None,
                              help="absolute event-kernel speedup floor "
-                                  "enforced even without history")
-    perf_report.add_argument("--floor-compiled-speedup", type=float,
-                             default=None,
-                             help="absolute compiled-kernel speedup floor "
                                   "enforced even without history")
     perf_report.set_defaults(func=cmd_perf_report)
 

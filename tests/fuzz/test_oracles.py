@@ -59,7 +59,7 @@ def test_shard_worker_matches_in_process_evaluation(fuzzer_specs):
 def test_oracle_names_cover_the_stack(fuzzer_specs):
     report = evaluate_spec(fuzzer_specs[0])
     names = [v.oracle for v in report.verdicts]
-    assert names == ["kernel-equivalence", "compiled-vs-event",
+    assert names == ["kernel-equivalence",
                      "replay:base_cap", "replay:base_inf",
                      "replay:opt_cap", "replay:opt_inf"]
     assert report.signals       # coverage signals rode along
@@ -108,29 +108,22 @@ def test_injected_floor_bug_fails_the_replay_oracle():
     assert forensic_replay(spec, "replay:opt_cap") is None
 
 
-def test_injected_codegen_bug_fails_the_compiled_oracle():
-    """``__codegen_bug__`` swaps a known-bad generated kernel in for the
-    compiled run only: the event and lockstep kernels (and the replay
-    oracles, which consume the event run) stay clean, so the divergence
-    must be pinned on compiled-vs-event alone."""
+def test_kernel_bug_fails_the_kernel_equivalence_oracle(monkeypatch):
+    """A lockstep kernel that reports one cycle too many must be caught by
+    the kernel-equivalence oracle alone: the replay oracles consume the
+    event run, which stays clean."""
+    from repro.sim import kernel
+
+    reference = kernel.KERNELS["lockstep"]
+
+    def off_by_one(*args, **kwargs):
+        return reference(*args, **kwargs) + 1
+
     spec = seed_entries()[0].spec
     assert evaluate_spec(spec).ok
-    buggy = evaluate_spec(spec,
-                          overrides={"__codegen_bug__": "drop-fence-stall"})
-    failed = {v.oracle for v in buggy.failures()}
-    assert failed == {"compiled-vs-event"}
-    # The compiled oracle has no replay-forensics path.
-    assert forensic_replay(
-        spec, "compiled-vs-event",
-        overrides={"__codegen_bug__": "drop-fence-stall"}) is None
-
-
-def test_codegen_bug_override_does_not_leak_into_recorders():
-    spec = seed_entries()[0].spec
-    variants = recorder_variants(
-        spec, {"__codegen_bug__": "drop-fence-stall", **BUGGY})
-    assert all(not cfg.interval_timestamp_floor
-               for cfg in variants.values())   # real overrides still apply
+    monkeypatch.setitem(kernel.KERNELS, "lockstep", off_by_one)
+    failed = {v.oracle for v in evaluate_spec(spec).failures()}
+    assert failed == {"kernel-equivalence"}
 
 
 def test_buggy_evaluation_is_also_deterministic():

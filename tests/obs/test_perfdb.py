@@ -157,6 +157,27 @@ class TestRegressionReport:
         assert not report.passed
         assert report.regressions[0].metric == "speedup_floor"
 
+    def test_floor_applies_only_to_event_series(self, tmp_path, capsys):
+        """History written while a third kernel existed still loads: its
+        ``"kernel": "compiled"`` lines form their own series and get no
+        floor, even when their speedup is below it."""
+        from repro.tools import main
+
+        legacy = dict(record(speedup=1.2).to_dict(), kernel="compiled")
+        path = tmp_path / "history.jsonl"
+        path.write_text(json.dumps(legacy) + "\n")
+        append_records(path, [record(speedup=2.0)])
+        records, skipped = load_history(path)
+        assert skipped == 0
+        assert sorted(r.kernel for r in records) == ["compiled", "event"]
+        report = regression_report(records, floor_speedup=1.5)
+        floors = [c for c in report.checks if c.metric == "speedup_floor"]
+        assert [c.kernel for c in floors] == ["event"]
+        assert report.passed
+        assert main(["perf-report", "--history", str(path),
+                     "--floor-speedup", "1.5"]) == 0
+        assert "overall: PASS" in capsys.readouterr().out
+
     def test_render_mentions_verdict(self):
         passing = regression_report([record()])
         assert "PASS" in passing.render()

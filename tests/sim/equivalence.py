@@ -1,15 +1,14 @@
 """Reusable differential-equivalence harness for the simulation kernels.
 
-Every kernel in :data:`repro.sim.kernel.KERNELS` is a scheduling or
-code-generation optimisation of the lockstep reference — each must be
-*observationally invisible*.  The equivalence oracle is byte equality of
+The event kernel in :data:`repro.sim.kernel.KERNELS` is a scheduling
+optimisation of the lockstep reference — it must be *observationally
+invisible*.  The equivalence oracle is byte equality of
 the serialized :class:`~repro.sim.machine.RunResult`: same cycle counts,
 same recording logs under every attached recorder variant, same memory
 images, same TRAQ statistics.
 
 The helpers here are shared by the kernel differential matrix
-(``tests/sim/test_kernel_differential.py``), the codegen property tests
-(``tests/sim/test_compiled_codegen.py``) and the fuzz-oracle regression
+(``tests/sim/test_kernel_differential.py``) and the fuzz-oracle regression
 tests — one definition of "the kernels agree" for the whole suite.
 """
 
@@ -22,7 +21,7 @@ from repro.sim.serialize import run_result_to_dict
 #: Every kernel under test, reference first.  Kept as an explicit tuple
 #: (not ``sorted(KERNELS)``) so a kernel added to the registry without a
 #: matrix entry is a conscious decision, not a silent pickup.
-KERNEL_NAMES = ("lockstep", "event", "compiled")
+KERNEL_NAMES = ("lockstep", "event")
 
 #: Both paper recorder modes, attached together so one run fingerprints
 #: the Base and Opt logs at once.

@@ -120,7 +120,7 @@ class TestKernelSelection:
             machine.run(spin_program(), kernel="quantum")
 
     def test_registry_exposes_every_kernel(self):
-        assert set(KERNELS) == {"event", "lockstep", "compiled"}
+        assert set(KERNELS) == {"event", "lockstep"}
 
     @pytest.mark.parametrize("kernel", sorted(KERNELS))
     def test_max_cycles_guard(self, kernel):

@@ -1,17 +1,15 @@
-"""Differential test: every optimized kernel vs the lockstep reference.
+"""Differential test: the event kernel vs the lockstep reference.
 
-The event kernel is a scheduling optimisation and the compiled kernel is
-a code-generation optimisation — both must be *observationally
-invisible*.  For every cell of a (litmus test x consistency model x
-coherence protocol) matrix, recorded under Base and Opt recorders at
-once, plus mid-size workloads, all three kernels must produce
-byte-identical serialized :class:`RunResult`s: same cycle counts, same
-recording logs, same memory images, same TRAQ occupancy statistics.
+The event kernel is a scheduling optimisation — it must be
+*observationally invisible*.  For every cell of a (litmus test x
+consistency model x coherence protocol) matrix, recorded under Base and
+Opt recorders at once, plus mid-size workloads, both kernels must
+produce byte-identical serialized :class:`RunResult`s: same cycle counts,
+same recording logs, same memory images, same TRAQ occupancy statistics.
 Replays of the recordings must be divergence-free.
 
-The comparison helpers live in :mod:`tests.sim.equivalence` so the
-codegen property tests and the fuzz oracles share the same definition of
-"the kernels agree".
+The comparison helpers live in :mod:`tests.sim.equivalence` so the fuzz
+oracles share the same definition of "the kernels agree".
 """
 
 from dataclasses import replace
@@ -60,7 +58,7 @@ class TestWorkloads:
         config = replace(MachineConfig(num_cores=4, seed=5),
                          protocol=CoherenceProtocol.DIRECTORY)
         results = assert_equivalent(config, program)
-        replay = replay_recording(results["compiled"], "default")
+        replay = replay_recording(results["event"], "default")
         assert replay.verified
 
     def test_spin_locks_bit_identical(self):
@@ -70,8 +68,9 @@ class TestWorkloads:
         assert_equivalent(config, program)
 
     def test_miss_heavy_parking_paths(self):
-        """Tiny cache + two MSHRs: the compiled kernel's MSHR-doomed
-        parking and admission-order re-merge are on the hot path here."""
+        """Tiny cache + two MSHRs: MSHR-full issue rejections and the
+        long stalls behind them are on the hot path here, so the event
+        kernel's per-core wake skipping must still match lockstep."""
         base = MachineConfig(num_cores=4, seed=7)
         config = replace(
             base,

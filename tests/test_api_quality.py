@@ -44,7 +44,7 @@ MODULES = [
     "repro.workloads", "repro.workloads.base", "repro.workloads.irregular",
     "repro.workloads.litmus", "repro.workloads.nbody",
     "repro.workloads.random_programs", "repro.workloads.scientific",
-    "repro.sim", "repro.sim.compiled", "repro.sim.kernel",
+    "repro.sim", "repro.sim.kernel",
     "repro.sim.machine", "repro.sim.serialize",
     "repro.harness", "repro.harness.cachestore",
     "repro.harness.figures", "repro.harness.parallel_runner",

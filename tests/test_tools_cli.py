@@ -124,6 +124,13 @@ class TestFailureExitCodes:
         assert main(["perf-report", "--history", str(history)]) == 0
         assert "corrupt lines skipped" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("repeats", ["0", "-1"])
+    def test_bench_rejects_repeats_below_one(self, repeats, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--repeats", repeats, "--no-history"])
+        assert excinfo.value.code == 2
+        assert "--repeats: must be at least 1" in capsys.readouterr().err
+
     def test_replay_missing_recording_dir(self, tmp_path, capsys):
         assert main(["replay", str(tmp_path / "ghost")]) == 2
         assert "error:" in capsys.readouterr().err
